@@ -10,21 +10,14 @@ set -eux
 go build ./...
 go vet ./...
 go test -race ./...
-# Targeted race runs on the concurrency-bearing packages: parallel Sample,
-# the embedding cache under the hybrid loop, the bench worker pool, the
-# telemetry sinks (emitted into from sampler workers and race entrants), and
-# the portfolio race itself.
+# Targeted race runs on the concurrency-bearing packages: parallel Sample
+# under the hybrid loop, the bench worker pool, the telemetry sinks (emitted
+# into from sampler workers and race entrants), and the portfolio race itself.
 go test -race -count=1 ./internal/anneal ./internal/hyqsat ./internal/bench ./internal/obs ./internal/portfolio
 go test -run='^$' -fuzz=FuzzParseDIMACS -fuzztime=10s ./internal/cnf
 go test -run='^$' -fuzz=FuzzEncodeClause -fuzztime=10s ./internal/qubo
 go test -run='^$' -fuzz=FuzzProofCheck -fuzztime=10s ./internal/verify
 go test -run='^$' -fuzz=FuzzUnembedCorrupt -fuzztime=10s ./internal/hyqsat
-go test -run='^$' -fuzz=FuzzTemplateInstantiate -fuzztime=10s ./internal/anneal
-# Template embedding gates: instantiating a clause queue onto the precomputed
-# tile skeleton must stay allocation-free (the production fast path for every
-# cache miss), and every template embedding must pass embed.Verify on both
-# topologies, broken qubits included.
-go test -run='TestTemplateInstantiateZeroAllocs|TestTemplateEmbeddingsVerify' -count=1 ./internal/anneal
 # Chaos gate: the fault-tolerance layer (fault injection, retry/backoff,
 # circuit breaker, degradation to pure CDCL) under the race detector, and
 # the Resilient wrapper's happy-path overhead contract: 0 extra allocs/op
@@ -152,12 +145,10 @@ if [ "${HYQSAT_PERF_GATE:-0}" = "1" ]; then
 	# a small shared host swing much more than single-threaded ones, so the
 	# threshold is wider.
 	go run ./cmd/benchreport -suite portfolio -compare BENCH_cdcl.json -threshold 60
-	# Embedding-path gates: template instantiation must beat the cold Fast
-	# pipeline by >= 5x on the same queue (the BENCH_embed acceptance bar),
-	# and no embed-suite row may regress beyond the noise threshold of a
-	# small shared host. Regenerate the snapshot with
-	# `go run ./cmd/benchreport -suite embed` after intentional perf changes.
-	HYQSAT_PERF_GATE=1 go test -run=TestEmbedTemplateSpeedup -count=1 -v ./internal/hyqsat
+	# Embedding-path gate: the cold Fast pipeline every cache miss runs may
+	# not regress beyond the noise threshold of a small shared host.
+	# Regenerate the snapshot with `go run ./cmd/benchreport -suite embed`
+	# after intentional perf changes.
 	go run ./cmd/benchreport -suite embed -compare BENCH_embed.json -threshold 75
 	# Serve throughput gate: rerun the daemon throughput suite (paced virtual
 	# QPU, 1/8/64 clients, batching on/off) against the committed snapshot.

@@ -4,8 +4,7 @@
 // Usage:
 //
 //	hyqsat [-solver=hyqsat|minisat|kissat|portfolio] [-mode=sim|hw]
-//	       [-topology=chimera|pegasus] [-seed N]
-//	       [-reads N] [-stats] [-proof file.drat] [-verify]
+//	       [-seed N] [-reads N] [-stats] [-proof file.drat] [-verify]
 //	       [-trace out.jsonl] [-metrics-addr host:port] [-flight-recorder N]
 //	       [-max-conflicts N] [-timeout 30s] [-fault-profile flaky]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof] file.cnf
@@ -74,7 +73,6 @@ import (
 	"hyqsat/internal/portfolio"
 	"hyqsat/internal/qpu"
 	"hyqsat/internal/sat"
-	"hyqsat/internal/topo"
 	"hyqsat/internal/verify"
 )
 
@@ -89,7 +87,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	solver := fs.String("solver", "hyqsat", "solver: hyqsat, minisat, kissat, or portfolio (race all three)")
 	mode := fs.String("mode", "hw", "QA mode for hyqsat: sim (noise-free) or hw (emulated D-Wave 2000Q)")
-	topology := fs.String("topology", "chimera", "QA hardware topology for hyqsat: chimera (D-Wave 2000Q) or pegasus")
 	seed := fs.Int64("seed", 1, "random seed")
 	stats := fs.Bool("stats", false, "print solver statistics")
 	model := fs.Bool("model", true, "print the satisfying assignment")
@@ -405,11 +402,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			if *mode == "sim" {
 				opts = hyqsat.SimulatorOptions()
 			}
-			hw, err := topo.New(*topology)
-			if err != nil {
-				return fail(err)
-			}
-			opts.Hardware = hw
 			opts.Seed = *seed
 			opts.Proof = hook
 			opts.NumReads = *reads
@@ -553,9 +545,8 @@ func printHybridStats(w io.Writer, st hyqsat.Stats) {
 	if lookups > 0 {
 		hitRate = 100 * float64(st.EmbedCacheHits) / float64(lookups)
 	}
-	fmt.Fprintf(w, "c embedcache hits=%d misses=%d evictions=%d (%.0f%% hit rate)\n",
-		st.EmbedCacheHits, st.EmbedCacheMisses, st.EmbedCacheEvictions, hitRate)
-	fmt.Fprintf(w, "c embed template=%d fast=%d\n", st.EmbedTemplateHits, st.EmbedFastRuns)
+	fmt.Fprintf(w, "c embedcache hits=%d misses=%d (%.0f%% hit rate)\n",
+		st.EmbedCacheHits, st.EmbedCacheMisses, hitRate)
 	fmt.Fprintf(w, "c cdcl conflicts=%d restarts=%d learned=%d brokenchains=%d\n",
 		st.SAT.Conflicts, st.SAT.Restarts, st.SAT.Learned, st.BrokenChains)
 	total := st.Total()

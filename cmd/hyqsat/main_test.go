@@ -149,6 +149,10 @@ func TestCLIReadsAndStats(t *testing.T) {
 	if !strings.Contains(out, "reads=") || !strings.Contains(out, "embedcache hits=") {
 		t.Fatalf("stats output missing read/cache counters: %q", out)
 	}
+	// One embedding path: no per-path split and no eviction count.
+	if strings.Contains(out, "c embed template=") || strings.Contains(out, "evictions=") {
+		t.Fatalf("stats output reports removed embedding counters: %q", out)
+	}
 }
 
 func TestCLIProfilesWritten(t *testing.T) {

@@ -3,9 +3,9 @@ package embed
 import (
 	"sort"
 
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/qubo"
+	"hyqsat/internal/topo"
 )
 
 // FastResult is the outcome of the paper's fast embedding: a valid embedding
@@ -50,7 +50,7 @@ type seg struct{ Line, C1, C2 int }
 // scheme (§IV-B): vertical-line allocation in clause-queue order, and greedy
 // bottom-up horizontal segment allocation against connection requirements.
 type fastState struct {
-	g   *chimera.Graph
+	g   *topo.Chimera
 	enc *qubo.Encoding
 
 	maxVarsPerLine int
@@ -88,7 +88,7 @@ func (st *fastState) rollback() {
 // grids, with disjoint row spans); auxiliary variables and inter-variable
 // connections are realised by greedily allocated horizontal segments,
 // scanning horizontal lines bottom-up and columns left-to-right.
-func Fast(enc *qubo.Encoding, g *chimera.Graph) *FastResult {
+func Fast(enc *qubo.Encoding, g *topo.Chimera) *FastResult {
 	st := newFastState(enc, g)
 	var set []int
 	failures := 0
@@ -106,7 +106,7 @@ func Fast(enc *qubo.Encoding, g *chimera.Graph) *FastResult {
 }
 
 // newFastState initialises the embedding state for one run.
-func newFastState(enc *qubo.Encoding, g *chimera.Graph) *fastState {
+func newFastState(enc *qubo.Encoding, g *topo.Chimera) *fastState {
 	st := &fastState{
 		g:   g,
 		enc: enc,
@@ -658,7 +658,7 @@ type FastEmbedder struct{}
 func (FastEmbedder) Name() string { return "hyqsat-fast" }
 
 // EmbedClauses embeds a clause queue and reports how many clauses fit.
-func (FastEmbedder) EmbedClauses(clauses []cnf.Clause, g *chimera.Graph) (*FastResult, error) {
+func (FastEmbedder) EmbedClauses(clauses []cnf.Clause, g *topo.Chimera) (*FastResult, error) {
 	enc, err := qubo.Encode(clauses)
 	if err != nil {
 		return nil, err

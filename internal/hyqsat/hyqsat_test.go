@@ -4,9 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/sat"
+	"hyqsat/internal/topo"
 )
 
 func random3SAT(rng *rand.Rand, nVars, nClauses int) *cnf.Formula {
@@ -215,7 +215,7 @@ func TestScalabilityLargerGridEmbedsMore(t *testing.T) {
 	f := random3SAT(rng, 100, 430)
 	perCall := func(grid int) float64 {
 		o := simOpts(6)
-		o.Hardware = chimera.New(grid, grid, 4)
+		o.Hardware = topo.NewChimera(grid, grid, 4)
 		o.WarmupIterations = 10
 		s := New(f.Copy(), o)
 		s.Solve()

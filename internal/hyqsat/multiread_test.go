@@ -114,5 +114,4 @@ func TestEmbedCacheCountersConsistent(t *testing.T) {
 	}
 }
 
-// The direct lookup/store/eviction unit tests for the sharded LRU cache live
-// in cache_test.go.
+// The direct unit tests for the embedding memo live in cache_test.go.

@@ -205,6 +205,7 @@ func TestStatsIsRegistryView(t *testing.T) {
 		"hyqsat_warmup_iterations":  int64(st.WarmupIterations),
 		"hyqsat_embedded_clauses":   st.EmbeddedClauses,
 		"hyqsat_embed_cache_hits":   int64(st.EmbedCacheHits),
+		"hyqsat_embed_cache_misses": int64(st.EmbedCacheMisses),
 		"hyqsat_strategy1_hits":     int64(st.Strategy1Hits),
 		"hyqsat_phase_frontend_ns":  int64(st.Frontend),
 		"hyqsat_phase_cdcl_ns":      int64(st.CDCL),
@@ -212,6 +213,13 @@ func TestStatsIsRegistryView(t *testing.T) {
 	} {
 		if snap.Counters[name] != want {
 			t.Errorf("registry %s = %d, Stats says %d", name, snap.Counters[name], want)
+		}
+	}
+	// Each fact has one counter: the embedding memo's hits and misses live
+	// only under their hyqsat_ names.
+	for _, dup := range []string{"embed_cache_hits", "embed_cache_misses"} {
+		if _, ok := snap.Counters[dup]; ok {
+			t.Errorf("registry has duplicate counter %s", dup)
 		}
 	}
 	if snap.Counters["hyqsat_phase_overlaps"] != 0 {

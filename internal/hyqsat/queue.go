@@ -5,8 +5,11 @@
 // The frontend (§IV) tracks per-clause conflict activity, generates a clause
 // queue by breadth-first traversal from a random top-30-activity head,
 // embeds the queue prefix onto the Chimera hardware with the linear-time
-// scheme, and applies the coefficient adjustment that widens the energy gap
-// under normalisation. The backend (§V) interprets each single QA sample
+// Fast scheme — the only embedder; a repeated queue is served from a
+// per-solver memo — and applies the coefficient adjustment that widens the
+// energy gap under normalisation. Hardware Fast cannot embed onto (another
+// topology, or a Chimera with broken qubits) turns the solve into pure CDCL
+// after one permanent degradation. The backend (§V) interprets each single QA sample
 // through the Gaussian-Naive-Bayes confidence partition and applies one of
 // four feedback strategies to steer the CDCL search. The hybrid phase runs
 // for the first √K iterations (the warm-up stage), after which classic CDCL

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hyqsat/internal/anneal"
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/gnb"
@@ -44,10 +43,11 @@ const StrategyNone StrategyMask = 1 << 7
 // paper-faithful defaults by New.
 type Options struct {
 	// Hardware is the QA topology; defaults to the D-Wave 2000Q Chimera.
-	// Chimera hardware embeds through the template fast path with the
-	// paper's Fast embedder as fallback; other topologies (topo.Pegasus)
-	// embed through templates only — queues that fit no template degrade to
-	// pure CDCL for that iteration.
+	// Clause queues embed through the paper's Fast scheme, which needs a
+	// fully working Chimera. Any other topology, or a Chimera with broken
+	// qubits, has no embedder: the first hybrid iteration degrades
+	// permanently (one DegradeEvent naming the reason) and the solve runs as
+	// pure CDCL.
 	Hardware topo.Topology
 	// Schedule and Noise configure the annealing substitute. The defaults
 	// (DefaultSchedule, DWave2000QNoise) emulate the real device; use
@@ -112,18 +112,6 @@ type Options struct {
 	// retry/breaker layer. Nil leaves the backend undecorated.
 	WrapBackend func(qpu.Backend) qpu.Backend
 
-	// Cache, when non-nil, replaces the solver's private embedding cache with
-	// a shared, content-addressed one (safe for concurrent use by several
-	// solvers). The cube-and-conquer per-cube QA warm-up passes one cache to
-	// every cube's solver so repeated clause queues reuse their embeddings
-	// across cubes.
-	Cache *SharedEmbedCache
-
-	// DisableTemplates turns off the precomputed clause-tile embedding fast
-	// path, forcing every cache miss through the full Fast embedder (the
-	// Fig 13 pipeline). Mainly for benchmarks and ablations.
-	DisableTemplates bool
-
 	// Proof, when non-nil, receives the CDCL core's clause trace in DRAT
 	// form. The proof's premise is the 3-CNF formula actually solved
 	// (ThreeCNF), which is equisatisfiable with the input.
@@ -159,7 +147,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Hardware == nil {
-		o.Hardware = chimera.DWave2000Q()
+		o.Hardware = topo.DWave2000Q()
 	}
 	if o.Schedule.Sweeps == 0 {
 		o.Schedule = anneal.DefaultSchedule()
@@ -231,17 +219,10 @@ type Stats struct {
 	BrokenChains     int64
 
 	// Frontend embedding-cache counters: a hit skips the whole
-	// encode → embed → program pipeline for a repeated clause queue.
+	// encode → embed → program pipeline for a repeated clause queue; every
+	// miss is one Fast embedder run.
 	EmbedCacheHits   int
 	EmbedCacheMisses int
-	// How cache misses were served: template instantiation (O(1) rename
-	// onto the precomputed tile layout) vs a full Fast embedder run.
-	EmbedTemplateHits int
-	EmbedFastRuns     int
-	// LRU evictions in the embedding cache the solver used. When Options.Cache
-	// shares one cache across solvers, this counts evictions cache-wide, not
-	// just this solver's.
-	EmbedCacheEvictions int
 
 	Strategy1Hits int
 	Strategy2Hits int
@@ -292,15 +273,16 @@ type Solver struct {
 	varAdj  [][]int
 	sampler *anneal.Sampler
 	backend qpu.Backend
-	cache   *SharedEmbedCache
 
-	// Template embedding state: the precomputed clause-tile layout for the
-	// hardware topology, per-shape instantiation builders (memoised — the
-	// queue generator produces a handful of shapes per solve), and the
-	// reusable eligibility checker.
-	templates  *embed.TemplateSet
-	builders   map[string]*anneal.TemplateBuilder
-	shapeCheck *qubo.ShapeChecker
+	// chim is the hardware Fast embeds onto; nil when it cannot run there,
+	// and noEmbedder then says why (see Options.Hardware).
+	chim       *topo.Chimera
+	noEmbedder error
+
+	// cache memoises encodeAndEmbed per clause queue; keyBuf is the reused
+	// buffer its keys are built in.
+	cache  map[string]*embedCacheEntry
+	keyBuf []byte
 
 	// Telemetry: every counter of the former Stats struct lives in the
 	// registry now (Stats() reads them back); phase time accounting goes
@@ -345,15 +327,10 @@ type solverMetrics struct {
 	broken      *obs.Counter
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
-	// Embedding-path counters: a cache miss is served either by template
-	// instantiation (an O(1) rename into preallocated buffers) or by a full
-	// Fast embedder run — the ratio is the template layer's win.
-	templateHits *obs.Counter
-	fastRuns     *obs.Counter
-	strat        [4]*obs.Counter
-	qaDeviceNs   *obs.Counter
-	degraded     *obs.Counter // iterations that lost QA guidance to a backend fault
-	invalid      *obs.Counter // read sets rejected by boundary validation
+	strat       [4]*obs.Counter
+	qaDeviceNs  *obs.Counter
+	degraded    *obs.Counter // iterations that lost QA guidance to a backend fault
+	invalid     *obs.Counter // read sets rejected by boundary validation
 
 	iteration  *obs.Gauge // hybrid warm-up iterations so far
 	queueDepth *obs.Gauge // clause-queue length of the latest frontend pass
@@ -372,16 +349,12 @@ func newSolverMetrics(reg *obs.Registry) solverMetrics {
 		broken:      reg.Counter("hyqsat_broken_chains"),
 		cacheHits:   reg.Counter("hyqsat_embed_cache_hits"),
 		cacheMisses: reg.Counter("hyqsat_embed_cache_misses"),
-		// Unprefixed names per the embedding-layer convention shared with
-		// SharedEmbedCache.AttachMetrics (embed_cache_*).
-		templateHits: reg.Counter("embed_template_hits"),
-		fastRuns:     reg.Counter("embed_fast_runs"),
-		degraded:     reg.Counter("hyqsat_qa_degraded"),
-		invalid:      reg.Counter("hyqsat_qa_invalid_readsets"),
-		qaDeviceNs:   reg.Counter("hyqsat_phase_qa_device_ns"),
-		iteration:    reg.Gauge("hyqsat_iteration"),
-		queueDepth:   reg.Gauge("hyqsat_queue_depth"),
-		cdclIters:    reg.Gauge("hyqsat_cdcl_iterations"),
+		degraded:    reg.Counter("hyqsat_qa_degraded"),
+		invalid:     reg.Counter("hyqsat_qa_invalid_readsets"),
+		qaDeviceNs:  reg.Counter("hyqsat_phase_qa_device_ns"),
+		iteration:   reg.Gauge("hyqsat_iteration"),
+		queueDepth:  reg.Gauge("hyqsat_queue_depth"),
+		cdclIters:   reg.Gauge("hyqsat_cdcl_iterations"),
 		// Energy buckets follow the gnb partition landmarks (0 / 4.5 / 8);
 		// chain-break fraction is bucketed in tenths.
 		readEnergy: reg.Histogram("hyqsat_qa_read_energy",
@@ -410,8 +383,23 @@ func New(f *cnf.Formula, opts Options) *Solver {
 		origin:  origin,
 		varAdj:  cnf.VarAdjacency(f3),
 		sampler: anneal.NewSampler(opts.Schedule, opts.Noise, opts.Seed^0x3c3c3c),
-		cache:   newEmbedCache(),
+		cache:   map[string]*embedCacheEntry{},
 		belief:  cnf.NewAssignment(f3.NumVars),
+	}
+	// Fast routes chains along Chimera lines and assumes every qubit works
+	// (it would program couplings onto broken ones). Anywhere else there is
+	// no embedder, and the solve says so once instead of paying queue and
+	// encode work on every iteration.
+	switch chim, ok := opts.Hardware.(*topo.Chimera); {
+	case !ok:
+		s.noEmbedder = noEmbedderError(fmt.Sprintf(
+			"hyqsat: no embedder for %s hardware: Fast needs a Chimera", opts.Hardware.Name()))
+	case chim.NumWorking() != chim.NumQubits():
+		s.noEmbedder = noEmbedderError(fmt.Sprintf(
+			"hyqsat: no embedder for a Chimera with %d broken qubits: Fast needs a fully working chip",
+			chim.NumQubits()-chim.NumWorking()))
+	default:
+		s.chim = chim
 	}
 	if opts.SatPool != nil {
 		s.sat = opts.SatPool.Get(f3, cdclOpts)
@@ -419,15 +407,6 @@ func New(f *cnf.Formula, opts Options) *Solver {
 		s.sat = sat.New(f3, cdclOpts)
 	}
 	s.sampler.Workers = opts.SampleWorkers
-
-	// Template embedding precomputation: one routed tile layout per
-	// topology, instantiated per queue shape. Cheap (one pass over the
-	// tiles), and it makes cache misses on eligible queues O(1) renames.
-	if !opts.DisableTemplates {
-		s.templates = embed.NewTemplateSet(opts.Hardware)
-		s.builders = map[string]*anneal.TemplateBuilder{}
-		s.shapeCheck = qubo.NewShapeChecker()
-	}
 
 	// Telemetry wiring: one registry and one tracer reach every layer of the
 	// pipeline (CDCL core, sampler, hybrid loop). Tracing and metrics never
@@ -452,10 +431,6 @@ func New(f *cnf.Formula, opts Options) *Solver {
 		s.trace = obs.WithSource(s.trace, obs.Source{Solve: id, Name: "hyqsat"})
 	}
 	s.m = newSolverMetrics(s.reg)
-	// Surface the private cache's hit/miss/eviction counters on the solver
-	// registry (a shared Options.Cache keeps its own counters — attach it to
-	// a registry where it is created, not per solver).
-	s.cache.AttachMetrics(s.reg)
 	s.phases = obs.NewPhaseTracker(s.reg, s.trace, "hyqsat_", "frontend", "backend", "cdcl")
 	s.sat.SetTracer(s.trace)
 	s.sat.SetMetrics(sat.Metrics{
@@ -523,35 +498,26 @@ func (s *Solver) WarmupBudget() int {
 // truth). Safe to call after Solve; during a solve, use LiveStatus or the
 // registry directly (SAT sub-stats are not atomics).
 func (s *Solver) Stats() Stats {
-	st := Stats{
-		SAT:               s.sat.Stats(),
-		WarmupIterations:  int(s.m.warmup.Value()),
-		QACalls:           int(s.m.qaCalls.Value()),
-		QAReads:           s.m.qaReads.Value(),
-		EmbeddedClauses:   s.m.embedded.Value(),
-		BrokenChains:      s.m.broken.Value(),
-		EmbedCacheHits:    int(s.m.cacheHits.Value()),
-		EmbedCacheMisses:  int(s.m.cacheMisses.Value()),
-		EmbedTemplateHits: int(s.m.templateHits.Value()),
-		EmbedFastRuns:     int(s.m.fastRuns.Value()),
-		Strategy1Hits:     int(s.m.strat[0].Value()),
-		Strategy2Hits:     int(s.m.strat[1].Value()),
-		Strategy3Hits:     int(s.m.strat[2].Value()),
-		Strategy4Hits:     int(s.m.strat[3].Value()),
-		QADegraded:        s.m.degraded.Value(),
-		QAInvalid:         s.m.invalid.Value(),
-		Frontend:          s.phases.Total(phaseFrontend),
-		Backend:           s.phases.Total(phaseBackend),
-		CDCL:              s.phases.Total(phaseCDCL),
-		QADevice:          time.Duration(s.m.qaDeviceNs.Value()),
+	return Stats{
+		SAT:              s.sat.Stats(),
+		WarmupIterations: int(s.m.warmup.Value()),
+		QACalls:          int(s.m.qaCalls.Value()),
+		QAReads:          s.m.qaReads.Value(),
+		EmbeddedClauses:  s.m.embedded.Value(),
+		BrokenChains:     s.m.broken.Value(),
+		EmbedCacheHits:   int(s.m.cacheHits.Value()),
+		EmbedCacheMisses: int(s.m.cacheMisses.Value()),
+		Strategy1Hits:    int(s.m.strat[0].Value()),
+		Strategy2Hits:    int(s.m.strat[1].Value()),
+		Strategy3Hits:    int(s.m.strat[2].Value()),
+		Strategy4Hits:    int(s.m.strat[3].Value()),
+		QADegraded:       s.m.degraded.Value(),
+		QAInvalid:        s.m.invalid.Value(),
+		Frontend:         s.phases.Total(phaseFrontend),
+		Backend:          s.phases.Total(phaseBackend),
+		CDCL:             s.phases.Total(phaseCDCL),
+		QADevice:         time.Duration(s.m.qaDeviceNs.Value()),
 	}
-	cache := s.cache
-	if s.opts.Cache != nil {
-		cache = s.opts.Cache
-	}
-	_, _, ev := cache.HitsMissesEvictions()
-	st.EmbedCacheEvictions = int(ev)
-	return st
 }
 
 // Metrics returns the solver's metrics registry — the live counters, gauges
@@ -725,6 +691,9 @@ func (s *Solver) hybridIteration(ctx context.Context) (done bool, res Result) {
 	s.m.warmup.Inc()
 	iteration := s.m.warmup.Value()
 	s.m.iteration.Set(iteration)
+	if s.noEmbedder != nil {
+		return s.degrade(iteration, s.noEmbedder)
+	}
 
 	// --- Frontend: clause queue → embedding → coefficients ---
 	span := s.phases.Start(phaseFrontend)
@@ -743,23 +712,7 @@ func (s *Solver) hybridIteration(ctx context.Context) (done bool, res Result) {
 		queueIdx = RandomQueue(unsat, s.opts.QueueLimit, s.rng)
 	}
 	s.m.queueDepth.Set(int64(len(queueIdx)))
-	// Both the private and the shared cache are content-addressed sharded
-	// LRUs now; Options.Cache only widens the sharing scope to other solvers
-	// (other cubes, portfolio workers) with identical pipeline options.
-	cache := s.cache
-	if s.opts.Cache != nil {
-		cache = s.opts.Cache
-	}
-	key, hash := queueContentKey(s.formula, queueIdx)
-	ent := cache.lookup(key, hash)
-	cacheHit := ent != nil
-	if cacheHit {
-		s.m.cacheHits.Inc()
-	} else {
-		s.m.cacheMisses.Inc()
-		ent = s.encodeAndEmbed(queueIdx)
-		cache.store(key, hash, ent)
-	}
+	ent, cacheHit := s.embedQueue(queueIdx)
 	if s.trace.Enabled() {
 		ev := obs.EmbedEvent{
 			Iteration:      iteration,
@@ -936,16 +889,10 @@ func interpretSample(embEnc *qubo.Encoding, sample anneal.Sample, numVars int) (
 	return embEnc.UnitEnergy(x), embEnc.AssignmentFromNodes(x, numVars)
 }
 
-// encodeAndEmbed runs the frontend pipeline for one clause queue. Template
-// fast path first: when the queue is template-eligible (1–3 distinct-var
-// literals per clause, var-disjoint across the queue, within tile capacity),
-// the whole queue instantiates onto the precomputed tile layout by renaming —
-// no embedding search, no restriction. Otherwise the paper's Fast embedder
-// runs (fully-working Chimera hardware only; other topologies, and chips with
-// broken qubits, degrade to CDCL for the
-// iteration). Output is immutable and memoised in the embedding cache; an
-// entry with embedded == 0 records an unusable queue (encode failure or no
-// embeddable clause) so repeats skip straight to CDCL.
+// encodeAndEmbed runs the frontend pipeline for one clause queue: encode →
+// Fast → restrict → adjust → normalise → EmbedIsing. An entry with
+// embedded == 0 records an unusable queue (encode failure or no embeddable
+// clause) so repeats skip straight to CDCL.
 func (s *Solver) encodeAndEmbed(queueIdx []int) *embedCacheEntry {
 	queue := make([]cnf.Clause, len(queueIdx))
 	for i, ci := range queueIdx {
@@ -956,20 +903,7 @@ func (s *Solver) encodeAndEmbed(queueIdx []int) *embedCacheEntry {
 		// Defensive: 3-CNF conversion guarantees encodable clauses.
 		return &embedCacheEntry{}
 	}
-	if ent := s.templateEmbed(queue, enc); ent != nil {
-		s.m.templateHits.Inc()
-		return ent
-	}
-	chim, ok := s.opts.Hardware.(*chimera.Graph)
-	if !ok || chim.NumWorking() != chim.NumQubits() {
-		// No Fast embedder for this topology — or the chip has hard faults,
-		// which Fast's routing assumes away (it would program couplings onto
-		// broken qubits). Only the broken-aware template path runs there;
-		// everything else skips QA for this queue.
-		return &embedCacheEntry{}
-	}
-	s.m.fastRuns.Inc()
-	fastRes := embed.Fast(enc, chim)
+	fastRes := embed.Fast(enc, s.chim)
 	if fastRes.EmbeddedClauses == 0 {
 		return &embedCacheEntry{}
 	}
@@ -979,56 +913,9 @@ func (s *Solver) encodeAndEmbed(queueIdx []int) *embedCacheEntry {
 	}
 	norm, _ := embEnc.Poly.Normalized()
 	ising := norm.ToIsing()
-	ep := anneal.EmbedIsing(ising, fastRes.Embedding, s.opts.Hardware,
+	ep := anneal.EmbedIsing(ising, fastRes.Embedding, s.chim,
 		s.opts.ChainStrengthMult*anneal.ChainStrengthFor(ising))
 	return &embedCacheEntry{embEnc: embEnc, ep: ep, embedded: fastRes.EmbeddedClauses}
-}
-
-// maxTemplateBuilders bounds the per-shape builder memo; queues producing
-// more distinct shapes than this fall back to Fast rather than growing the
-// map without limit.
-const maxTemplateBuilders = 128
-
-// templateEmbed attempts the template fast path for an encoded queue. It
-// returns nil when the queue is ineligible (shape, capacity, or a
-// coefficient structure outside the template's edge support) — the caller
-// falls back to the Fast embedder.
-func (s *Solver) templateEmbed(queue []cnf.Clause, enc *qubo.Encoding) *embedCacheEntry {
-	if s.templates == nil {
-		return nil
-	}
-	shape, ok := s.shapeCheck.Shape(queue)
-	if !ok || len(shape) > s.templates.Capacity() {
-		return nil
-	}
-	shapeKey := make([]byte, len(shape))
-	for i, n := range shape {
-		shapeKey[i] = byte(n)
-	}
-	b, ok := s.builders[string(shapeKey)]
-	if !ok {
-		if len(s.builders) >= maxTemplateBuilders {
-			return nil
-		}
-		var err error
-		b, err = anneal.NewTemplateBuilder(s.templates, shape)
-		if err != nil {
-			return nil
-		}
-		s.builders[string(shapeKey)] = b
-	}
-	if s.opts.AdjustCoefficients {
-		enc.AdjustCoefficients()
-	}
-	norm, _ := enc.Poly.Normalized()
-	ising := norm.ToIsing()
-	// BuildNew, not Build: the entry outlives this call in the cache and may
-	// be sampled concurrently with later instantiations.
-	ep := b.BuildNew(ising, s.opts.ChainStrengthMult*anneal.ChainStrengthFor(ising))
-	if ep == nil {
-		return nil
-	}
-	return &embedCacheEntry{embEnc: enc, ep: ep, embedded: len(queue), viaTemplate: true}
 }
 
 // fullModel extends the QA assignment with the current trail and saved
@@ -1067,6 +954,15 @@ func (s *Solver) degrade(iteration int64, cause error) (bool, Result) {
 	}
 	return s.stepCDCL()
 }
+
+// noEmbedderError is the reason the configured hardware has no embedder. It
+// is permanent: the hardware cannot change during the solve.
+type noEmbedderError string
+
+func (e noEmbedderError) Error() string { return string(e) }
+
+// Permanent classifies the error for qpu.Permanent.
+func (noEmbedderError) Permanent() bool { return true }
 
 // stepCDCL advances the classical search by one iteration.
 func (s *Solver) stepCDCL() (bool, Result) {

@@ -22,7 +22,7 @@ import "fmt"
 // coupler-exact replica of an Advantage working graph. What the embedding
 // layers need from it is exactly what it models: denser connectivity than
 // Chimera, so chains are shorter (Pudenz et al. tie chain length to error
-// rates), and more K_{4,4} tiles per fabric for the template embedder.
+// rates), and more K_{4,4} tiles per fabric.
 type Pegasus struct {
 	M      int // Pegasus size parameter; the fabric grid is s×s with s = M−1
 	s      int
@@ -140,8 +140,7 @@ func (g *Pegasus) Edges() []Edge { return edgesFromAdj(g.NumQubits(), &g.adj) }
 // Tiles enumerates the K_{4,4} unit cells copy-major then row-major: side A
 // holds the horizontal (u=0) qubits of a cell, side B the vertical (u=1)
 // ones. Broken qubits are included. Pegasus(m) yields 3·(m−1)² tiles — for
-// m=16 that is 675 vs Chimera(16,16,4)'s 256, the density win the template
-// embedder exploits.
+// m=16 that is 675 vs Chimera(16,16,4)'s 256.
 func (g *Pegasus) Tiles() []Tile {
 	out := make([]Tile, 0, 3*g.s*g.s)
 	for t := 0; t < 3; t++ {

@@ -1,6 +1,6 @@
 // Package topo models quantum-annealer hardware graphs behind one Topology
-// interface, so the embedding layers (embed.Fast, the clause-tile template
-// instantiator, the minor-embedding heuristics) can target any qubit fabric.
+// interface, so the embedding layers (embed.Fast, the minor-embedding
+// heuristics) and the qbatch packer can target any qubit fabric.
 //
 // Two concrete topologies are provided:
 //
@@ -23,9 +23,9 @@ type Edge struct{ A, B int }
 
 // Tile is one K_{L,L} unit cell of a topology: every working qubit on side A
 // shares a coupler with every working qubit on side B (no couplers within a
-// side are implied). Tiles are the unit the clause-template embedder
-// allocates: one 3-SAT clause gadget per tile. Broken qubits are included in
-// the slices; consumers filter with IsBroken.
+// side are implied). Tiles are the unit the qbatch packer places problems
+// on. Broken qubits are included in the slices; consumers filter with
+// IsBroken.
 type Tile struct {
 	A, B []int
 }
