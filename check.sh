@@ -9,6 +9,10 @@ set -eux
 
 go build ./...
 go vet ./...
+# The benchmark module (perfbench/, its own go.mod) builds against this
+# module's internal packages: a deleted or renamed identifier it uses must
+# fail here, not at the next benchmark run.
+(cd perfbench && go vet ./... && go test ./...)
 go test -race ./...
 # Targeted race runs on the concurrency-bearing packages: parallel Sample
 # under the hybrid loop, the bench worker pool, the telemetry sinks (emitted

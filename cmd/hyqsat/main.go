@@ -164,7 +164,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	reg := obs.NewRegistry()
 	// The quality tracker rides the same event stream as the sinks: it
 	// aggregates chain-break rates, energy gaps and strategy payoff live,
-	// mirrored into the registry for /metrics and summarised on
+	// publishes them in the registry for /metrics and summarises them on
 	// /solve/status and in -stats.
 	var quality *obs.QualityTracker
 	if len(sinks) > 0 || *metricsAddr != "" {
@@ -574,8 +574,8 @@ func printQuality(w io.Writer, quality *obs.QualityTracker) {
 	if q.QACalls == 0 {
 		return
 	}
-	fmt.Fprintf(w, "c quality qacalls=%d chainbreakrate=%.4f gapmean=%.3f degrades=%d payoff=%.3f/us\n",
-		q.QACalls, q.ChainBreakRate, q.EnergyGap.Mean, q.Degrades, q.PayoffPerDeviceUs)
+	fmt.Fprintf(w, "c quality chainbreakrate=%.4f gapmean=%.3f payoff=%.3f/us\n",
+		q.ChainBreakRate, q.EnergyGap.Mean, q.PayoffPerDeviceUs)
 }
 
 // proofSinkOrNil / recorderOrNil avoid the non-nil interface around a nil

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -314,6 +315,31 @@ func TestCLIMetricsAddrServesLiveEndpoints(t *testing.T) {
 	}
 	if !strings.Contains(s.status, `"state":"solving"`) {
 		t.Fatalf("/solve/status not live: %q", s.status)
+	}
+	// Each QA fact is counted once, by the solver: the quality tracker
+	// publishes only the signals it alone computes.
+	if !strings.Contains(s.metrics, "quality_chains_total") {
+		t.Fatalf("/metrics missing the quality tracker's own series: %q", s.metrics)
+	}
+	for _, dup := range []string{"quality_qa_calls_total", "quality_qa_reads_total",
+		"quality_degrades_total", "quality_strategy_hits_total_"} {
+		if strings.Contains(s.metrics, dup) {
+			t.Errorf("/metrics repeats a hyqsat_* counter as %s", dup)
+		}
+	}
+	var status struct {
+		Quality map[string]any `json:"quality"`
+	}
+	if err := json.Unmarshal([]byte(s.status), &status); err != nil {
+		t.Fatalf("/solve/status: %v in %q", err, s.status)
+	}
+	if _, ok := status.Quality["chain_break_rate"]; !ok {
+		t.Fatalf("/solve/status has no quality summary: %q", s.status)
+	}
+	for _, dup := range []string{"qa_calls", "qa_reads", "degrades"} {
+		if _, ok := status.Quality[dup]; ok {
+			t.Errorf("/solve/status quality repeats the solver's %s", dup)
+		}
 	}
 }
 

@@ -22,46 +22,8 @@ func TestTimingModel(t *testing.T) {
 	if got := tm.AccessTime(60); got != want {
 		t.Fatalf("AccessTime(60) = %v, want %v", got, want)
 	}
-	if tm.SampleTime() != tm.AccessTime(1) {
-		t.Fatal("SampleTime != AccessTime(1)")
-	}
 }
 
-func TestSampleLogicalFindsGroundStateOfTinyProblems(t *testing.T) {
-	// Ferromagnetic pair with a field: ground state both up.
-	is := &qubo.Ising{
-		H: map[int]float64{0: -1, 1: -1},
-		J: map[qubo.Edge]float64{{U: 0, V: 1}: -1},
-	}
-	s := NewSampler(LongSchedule(), NoNoise, 1)
-	hits := 0
-	for trial := 0; trial < 20; trial++ {
-		v := s.SampleLogical(is, 2)
-		if v[0] && v[1] {
-			hits++
-		}
-	}
-	if hits < 18 {
-		t.Fatalf("ground state found %d/20 times", hits)
-	}
-}
-
-func TestSampleLogicalAntiferromagnet(t *testing.T) {
-	// J>0 favours opposite spins.
-	is := &qubo.Ising{
-		H: map[int]float64{},
-		J: map[qubo.Edge]float64{{U: 0, V: 1}: 1},
-	}
-	s := NewSampler(LongSchedule(), NoNoise, 2)
-	for trial := 0; trial < 20; trial++ {
-		v := s.SampleLogical(is, 2)
-		if v[0] == v[1] {
-			t.Fatalf("trial %d: antiferromagnet aligned", trial)
-		}
-	}
-}
-
-// encodeAndEmbed builds the QUBO encoding of the clauses and fast-embeds it.
 func encodeAndEmbed(t *testing.T, clauses []cnf.Clause, g *topo.Chimera) (*qubo.Encoding, *embed.FastResult) {
 	t.Helper()
 	enc, err := qubo.Encode(clauses)

@@ -15,26 +15,25 @@ import (
 // time of the whole batch is BatchAccessTime(reads), not the sum of solo
 // accesses.
 //
-// Determinism contract: member i consumes the call index it would have drawn
-// from i sequential Sample calls issued at this point, and each of its reads
-// uses the same (seed, call, read) RNG stream derivation as Sample. Because
-// co-tiled members share no coupler, the merged program's distribution
-// factorises over members exactly, so sampling each member with its own
-// stream IS sampling the merged program — and the returned read sets are
-// bit-identical to sequential single-member Sample calls at the same seeds.
-// (A single stream over the merged spins would be physically equivalent but
-// would destroy that equality, and per-member diagnostics like chain breaks
-// with it.)
+// Sample is the one-member case. Determinism contract: member i takes call
+// index base+i, and read j of it runs on the RNG stream derived from
+// (seed, base+i, j). Because co-tiled members share no coupler, the merged
+// program's distribution factorises over members exactly, so sampling each
+// member with its own stream IS sampling the merged program — and the
+// returned read sets are bit-identical to sequential Sample calls at the same
+// seeds. (A single stream over the merged spins would be physically
+// equivalent but would destroy that equality, and per-member diagnostics like
+// chain breaks with it.)
 //
 // Tracing: one QACallEvent is emitted per member, carrying the member's call
 // index and its SplitAccessTime share in DeviceNs — the per-member events of
 // one batch sum exactly to the single program's BatchAccessTime, so offline
 // consumers (tracereport, the quality tracker) never double-count device
-// time. BatchSize marks the events as batched.
+// time. BatchSize marks the events of a batch of two or more members; a solo
+// access leaves it unset and charges AccessTime(reads).
 //
-// Like Sample, SampleBatch is safe to call from multiple goroutines; the
-// member read work of one call is fanned across a single worker pool bounded
-// by Workers.
+// SampleBatch is safe to call from multiple goroutines; the member read work
+// of one call is fanned across a single worker pool bounded by Workers.
 func (s *Sampler) SampleBatch(eps []*EmbeddedProblem, reads []int) []ReadSet {
 	k := len(eps)
 	if k == 0 {
@@ -118,6 +117,10 @@ func (s *Sampler) SampleBatch(eps []*EmbeddedProblem, reads []int) []ReadSet {
 
 	if s.Trace != nil && s.Trace.Enabled() {
 		shares := s.Timing.SplitAccessTime(clamped)
+		batchSize := k
+		if k == 1 {
+			batchSize = 0
+		}
 		for i := range sets {
 			samples := sets[i].Samples
 			energies := make([]float64, len(samples))
@@ -135,7 +138,7 @@ func (s *Sampler) SampleBatch(eps []*EmbeddedProblem, reads []int) []ReadSet {
 				MaxChainLen:  eps[i].maxChainLen,
 				ChainQubits:  eps[i].chainQubits,
 				Best:         sets[i].Best,
-				BatchSize:    k,
+				BatchSize:    batchSize,
 				DeviceNs:     shares[i].Nanoseconds(),
 			})
 		}

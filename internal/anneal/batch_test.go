@@ -12,7 +12,10 @@ import (
 // member, exactly the read set a fresh sequence of solo Sample calls would
 // have returned — same values, same energies, same chain breaks, same best
 // index. This is what lets the qbatch scheduler coalesce tenant requests
-// without changing any tenant's observable results.
+// without changing any tenant's observable results. Sample is itself a
+// one-member SampleBatch, so this compares k-member batches with one-member
+// ones; TestSampleMatchesSoloGolden pins the one-member path to recorded
+// values.
 func TestSampleBatchBitIdenticalToSequentialSample(t *testing.T) {
 	eps := []*EmbeddedProblem{
 		testEmbeddedProblem(t, 21, 6),

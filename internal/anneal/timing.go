@@ -40,10 +40,6 @@ func (t TimingModel) AccessTime(n int) time.Duration {
 		time.Duration(n-1)*t.InterSampleDelay
 }
 
-// SampleTime is AccessTime(1): the cost HyQSAT pays per iteration, since it
-// executes a single sample and lets CDCL absorb errors.
-func (t TimingModel) SampleTime() time.Duration { return t.AccessTime(1) }
-
 // BatchAccessTime returns the modelled device time of one batched program
 // serving several co-tiled members: the chip is programmed once and every
 // read cycle anneals and reads out all members simultaneously, so the program

@@ -35,9 +35,6 @@ func TestAccessTimeEdgeCases(t *testing.T) {
 	if got := tm.AccessTime(-3); got != 0 {
 		t.Errorf("AccessTime(-3) = %v, want 0", got)
 	}
-	if tm.SampleTime() != tm.AccessTime(1) {
-		t.Errorf("SampleTime %v != AccessTime(1) %v", tm.SampleTime(), tm.AccessTime(1))
-	}
 	// The zero model charges nothing — the simulator configuration.
 	var zero TimingModel
 	if zero.AccessTime(10) != 0 {

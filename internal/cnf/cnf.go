@@ -50,14 +50,6 @@ func (l Lit) IsNeg() bool { return l&1 == 1 }
 // Not returns the complement of l.
 func (l Lit) Not() Lit { return l ^ 1 }
 
-// XorSign flips the polarity of l when flip is true.
-func (l Lit) XorSign(flip bool) Lit {
-	if flip {
-		return l ^ 1
-	}
-	return l
-}
-
 // Dimacs returns the 1-based signed integer encoding of l used by the DIMACS
 // CNF format: variable 0 becomes 1 (or -1 when negated), and so on.
 func (l Lit) Dimacs() int {
@@ -122,16 +114,6 @@ func (c Clause) Vars() []Var {
 func (c Clause) Has(l Lit) bool {
 	for _, m := range c {
 		if m == l {
-			return true
-		}
-	}
-	return false
-}
-
-// HasVar reports whether c mentions variable v with either polarity.
-func (c Clause) HasVar(v Var) bool {
-	for _, m := range c {
-		if m.Var() == v {
 			return true
 		}
 	}
@@ -336,16 +318,6 @@ func (a Assignment) Set(v Var, b bool) {
 	}
 }
 
-// IsTotal reports whether every variable is assigned.
-func (a Assignment) IsTotal() bool {
-	for _, v := range a {
-		if v == Undef {
-			return false
-		}
-	}
-	return true
-}
-
 // ClauseStatus is the status of a clause under a partial assignment.
 type ClauseStatus int8
 
@@ -386,16 +358,4 @@ func (a Assignment) Satisfies(f *Formula) bool {
 		}
 	}
 	return true
-}
-
-// CountUnsatisfied returns the number of clauses of f not satisfied by a
-// (falsified or not-yet-determined clauses both count as unsatisfied).
-func (a Assignment) CountUnsatisfied(f *Formula) int {
-	n := 0
-	for _, c := range f.Clauses {
-		if a.Status(c) != ClauseSatisfied {
-			n++
-		}
-	}
-	return n
 }

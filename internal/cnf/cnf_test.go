@@ -18,9 +18,6 @@ func TestLitEncoding(t *testing.T) {
 		if p.Not() != n || n.Not() != p {
 			t.Fatalf("Not() wrong for %d", v)
 		}
-		if p.XorSign(true) != n || p.XorSign(false) != p {
-			t.Fatalf("XorSign wrong for %d", v)
-		}
 	}
 }
 
@@ -61,9 +58,6 @@ func TestClauseBasics(t *testing.T) {
 	}
 	if c.Has(Neg(0)) {
 		t.Fatal("Has reported absent literal")
-	}
-	if !c.HasVar(1) || c.HasVar(5) {
-		t.Fatal("HasVar wrong")
 	}
 	vars := c.Vars()
 	if len(vars) != 3 || vars[0] != 0 || vars[1] != 1 || vars[2] != 2 {
@@ -174,9 +168,6 @@ func TestAssignmentSatisfies(t *testing.T) {
 	if b.Satisfies(f) {
 		t.Fatal("non-model reported satisfying")
 	}
-	if b.CountUnsatisfied(f) != 1 {
-		t.Fatalf("CountUnsatisfied = %d, want 1", b.CountUnsatisfied(f))
-	}
 }
 
 func TestBoolsRoundTrip(t *testing.T) {
@@ -187,13 +178,6 @@ func TestBoolsRoundTrip(t *testing.T) {
 		if got[i] != m[i] {
 			t.Fatalf("Bools()[%d] = %v", i, got[i])
 		}
-	}
-	if !a.IsTotal() {
-		t.Fatal("total assignment reported partial")
-	}
-	a[1] = Undef
-	if a.IsTotal() {
-		t.Fatal("partial assignment reported total")
 	}
 }
 

@@ -376,10 +376,6 @@ func TestEmbeddingStats(t *testing.T) {
 	if e.MaxChainLength() != 3 {
 		t.Fatalf("MaxChainLength = %d", e.MaxChainLength())
 	}
-	lens := e.ChainLengths()
-	if len(lens) != 2 || lens[0] != 1 || lens[1] != 3 {
-		t.Fatalf("ChainLengths = %v", lens)
-	}
 	if NewEmbedding().MeanChainLength() != 0 {
 		t.Fatal("empty embedding mean should be 0")
 	}

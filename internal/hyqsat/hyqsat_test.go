@@ -270,7 +270,7 @@ func TestGenerateQueueProperties(t *testing.T) {
 		shares := false
 		for _, v := range f.Clauses[q[i]].Vars() {
 			for j := 0; j < len(q); j++ {
-				if j != i && f.Clauses[q[j]].HasVar(v) {
+				if j != i && (f.Clauses[q[j]].Has(cnf.Pos(v)) || f.Clauses[q[j]].Has(cnf.Neg(v))) {
 					shares = true
 				}
 			}

@@ -28,7 +28,7 @@ func TestPhaseSpansDisjointAndBounded(t *testing.T) {
 	if r.Status == sat.Unknown {
 		t.Fatalf("solve inconclusive")
 	}
-	if n := h.PhaseOverlaps(); n != 0 {
+	if n := h.Metrics().Counter("hyqsat_phase_overlaps").Value(); n != 0 {
 		t.Fatalf("phase tracker counted %d overlap violations, want 0", n)
 	}
 	st := r.Stats

@@ -40,7 +40,11 @@ const AllStrategies = Strategy1 | Strategy2 | Strategy4
 const StrategyNone StrategyMask = 1 << 7
 
 // Options configures the hybrid solver. The zero value is completed with
-// paper-faithful defaults by New.
+// paper-faithful defaults by New. Two parts of the paper's loop are fixed
+// rather than configurable: every warm-up iteration runs the QA
+// frontend/backend (the paper's cross-iterative loop), and the backend
+// classifies QA energies with the published 2000Q partition
+// (gnb.DefaultPartition, thresholds 4.5 and 8).
 type Options struct {
 	// Hardware is the QA topology; defaults to the D-Wave 2000Q Chimera.
 	// Clause queues embed through the paper's Fast scheme, which needs a
@@ -56,9 +60,6 @@ type Options struct {
 	Noise    anneal.Noise
 	// Timing is the modelled QA device timing (defaults to D-Wave 2000Q).
 	Timing anneal.TimingModel
-	// Partition classifies QA output energies; defaults to the paper's
-	// published calibration (4.5 / 8).
-	Partition gnb.Partition
 	// CDCL configures the classical solver; defaults to MiniSATOptions.
 	CDCL sat.Options
 	// SatPool, when non-nil, recycles the CDCL core's arena-backed state
@@ -82,10 +83,6 @@ type Options struct {
 	QueueLimit int
 	// TopN is the activity pool for the queue head selection (default 30).
 	TopN int
-	// QAInterval runs the QA frontend/backend every n-th warm-up iteration
-	// (default 1, as in the paper's cross-iterative loop); intermediate
-	// iterations are plain CDCL steps that consume the injected guidance.
-	QAInterval int
 	// ChainStrengthMult scales the ferromagnetic chain coupling relative to
 	// anneal.ChainStrengthFor's default (1.0).
 	ChainStrengthMult float64
@@ -155,9 +152,6 @@ func (o Options) withDefaults() Options {
 	if o.Timing == (anneal.TimingModel{}) {
 		o.Timing = anneal.DWave2000QTiming()
 	}
-	if o.Partition == (gnb.Partition{}) {
-		o.Partition = gnb.DefaultPartition()
-	}
 	if o.CDCL == (sat.Options{}) {
 		o.CDCL = sat.MiniSATOptions()
 	}
@@ -169,9 +163,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TopN == 0 {
 		o.TopN = 30
-	}
-	if o.QAInterval == 0 {
-		o.QAInterval = 1
 	}
 	if o.ChainStrengthMult == 0 {
 		o.ChainStrengthMult = 1
@@ -536,11 +527,6 @@ func (s *Solver) Release() {
 	s.sat = nil
 }
 
-// PhaseOverlaps returns how many phase-span disjointness violations the
-// tracker observed; a correct loop keeps this at zero (the Fig 11 phases
-// then sum without double counting).
-func (s *Solver) PhaseOverlaps() int64 { return s.phases.Overlaps() }
-
 // LiveStatus is a race-safe snapshot of the in-flight solve for the
 // /solve/status endpoint: it reads only atomics, so it may be called from a
 // serving goroutine while Solve runs.
@@ -601,7 +587,7 @@ func (s *Solver) SolveContext(ctx context.Context) Result {
 		if err := ctx.Err(); err != nil {
 			return s.interrupted(err)
 		}
-		if it%s.opts.QAInterval != 0 || s.qaDisabled {
+		if s.qaDisabled {
 			if done, res := s.stepCDCL(); done {
 				return res
 			}
@@ -781,7 +767,7 @@ func (s *Solver) hybridIteration(ctx context.Context) (done bool, res Result) {
 	// --- Backend: interpret energy, apply a feedback strategy ---
 	span = s.phases.Start(phaseBackend)
 	energy, qaAssign := interpretSample(embEnc, sample, s.formula.NumVars)
-	class := s.opts.Partition.Classify(energy)
+	class := gnb.DefaultPartition().Classify(energy)
 
 	allEmbedded := ent.embedded == len(unsat)
 	// emitStrategy records the Fig 9 outcome classification of this QA

@@ -88,7 +88,3 @@ func (s Span) End() {
 func (t *PhaseTracker) Total(ph int) time.Duration {
 	return time.Duration(t.totals[ph].Value())
 }
-
-// Overlaps returns how many span-disjointness violations were observed;
-// a correctly instrumented pipeline keeps this at zero.
-func (t *PhaseTracker) Overlaps() int64 { return t.overlaps.Value() }

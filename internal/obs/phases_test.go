@@ -19,8 +19,8 @@ func TestPhaseTrackerDisjointSpans(t *testing.T) {
 		sp = pt.Start(1)
 		sp.End()
 	}
-	if pt.Overlaps() != 0 {
-		t.Fatalf("disjoint spans counted %d overlaps", pt.Overlaps())
+	if n := reg.Counter("x_phase_overlaps").Value(); n != 0 {
+		t.Fatalf("disjoint spans counted %d overlaps", n)
 	}
 	if pt.Total(0) < 3*time.Millisecond {
 		t.Fatalf("frontend total %v, want ≥ 3ms", pt.Total(0))
@@ -59,8 +59,8 @@ func TestPhaseTrackerCountsOverlaps(t *testing.T) {
 	spB := pt.Start(1) // overlap: a still open
 	spA.End()          // overlap: b is the active phase now
 	spB.End()
-	if pt.Overlaps() != 2 {
-		t.Fatalf("overlaps = %d, want 2", pt.Overlaps())
+	if n := reg.Counter("y_phase_overlaps").Value(); n != 2 {
+		t.Fatalf("overlaps = %d, want 2", n)
 	}
 }
 

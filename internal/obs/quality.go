@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -27,36 +26,29 @@ var chainLenBounds = []int{2, 4, 8, 16}
 //     degraded segments, where QA guidance was absent or masked).
 //
 // The same aggregation runs offline over a recorded trace via ComputeQuality.
-// When constructed with a Registry, the tracker mirrors its totals into
-// quality_* metrics so /metrics exposes them live. Safe for concurrent use.
+// When constructed with a Registry, the tracker publishes the signals only it
+// computes as quality_* metrics: chain totals over all reads, the energy-gap
+// histogram and the payoff gauge. QA calls, reads, degradations and strategy
+// hits are counted once, by the solver's hyqsat_* counters. Safe for
+// concurrent use.
 type QualityTracker struct {
 	mu       sync.Mutex
 	bySource map[Source]*qualityAgg
 
-	// registry mirrors; nil without a registry
-	mQACalls  *Counter
-	mReads    *Counter
-	mChains   *Counter
-	mBroken   *Counter
-	mDegrades *Counter
-	mStrat    [5]*Counter
-	mGap      *Histogram
-	mPayoff   *Gauge // milli-conflicts avoided per device-µs
+	// registry metrics; nil without a registry
+	mChains *Counter
+	mBroken *Counter
+	mGap    *Histogram
+	mPayoff *Gauge // milli-conflicts avoided per device-µs
 }
 
 // NewQualityTracker returns a quality tracker. reg may be nil; with a
-// registry the tracker mirrors its aggregates into quality_* metrics.
+// registry the tracker publishes its own signals as quality_* metrics.
 func NewQualityTracker(reg *Registry) *QualityTracker {
 	t := &QualityTracker{bySource: map[Source]*qualityAgg{}}
 	if reg != nil {
-		t.mQACalls = reg.Counter("quality_qa_calls_total")
-		t.mReads = reg.Counter("quality_qa_reads_total")
 		t.mChains = reg.Counter("quality_chains_total")
 		t.mBroken = reg.Counter("quality_chain_breaks_total")
-		t.mDegrades = reg.Counter("quality_degrades_total")
-		for s := range t.mStrat {
-			t.mStrat[s] = reg.Counter(fmt.Sprintf("quality_strategy_hits_total_%d", s))
-		}
 		t.mGap = reg.Histogram("quality_energy_gap", ExpBuckets(0.5, 2, 8))
 		t.mPayoff = reg.Gauge("quality_payoff_mconflicts_per_device_us")
 	}
@@ -94,28 +86,14 @@ func (t *QualityTracker) Snapshot() QualitySummary {
 	return merged.summary()
 }
 
-// BySource returns one quality summary per event source. Unattributed events
-// land under the zero Source.
-func (t *QualityTracker) BySource() map[Source]QualitySummary {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[Source]QualitySummary, len(t.bySource))
-	for src, agg := range t.bySource {
-		out[src] = agg.summary()
-	}
-	return out
-}
-
-// StatusMap returns the live-status view of the aggregate summary, merged by
-// the CLI into /solve/status.
+// StatusMap returns the live-status view of the signals only the tracker
+// computes, merged by the CLI into /solve/status next to the solver's own
+// counters (which carry QA calls, reads and degradations).
 func (t *QualityTracker) StatusMap() map[string]any {
 	s := t.Snapshot()
 	return map[string]any{
-		"qa_calls":             s.QACalls,
-		"qa_reads":             s.Reads,
 		"chain_break_rate":     s.ChainBreakRate,
 		"energy_gap_mean":      s.EnergyGap.Mean,
-		"degrades":             s.Degrades,
 		"payoff_per_device_us": s.PayoffPerDeviceUs,
 	}
 }
@@ -128,15 +106,6 @@ func ComputeQuality(events []Stamped) QualitySummary {
 		t.EmitFrom(ev.Source(), ev.E)
 	}
 	return t.Snapshot()
-}
-
-// ComputeQualityBySource is ComputeQuality grouped by event source.
-func ComputeQualityBySource(events []Stamped) map[Source]QualitySummary {
-	t := NewQualityTracker(nil)
-	for _, ev := range events {
-		t.EmitFrom(ev.Source(), ev.E)
-	}
-	return t.BySource()
 }
 
 // QualitySummary is the QA-quality feature vector of one event stream — the
@@ -247,7 +216,7 @@ func newQualityAgg() *qualityAgg {
 }
 
 // observe folds one event into the aggregate. t carries the registry
-// mirrors; it is never nil (pass a tracker without a registry offline).
+// metrics; it is never nil (pass a tracker without a registry offline).
 func (a *qualityAgg) observe(e Event, t *QualityTracker) {
 	switch ev := e.(type) {
 	case QACallEvent:
@@ -284,25 +253,17 @@ func (a *qualityAgg) observe(e Event, t *QualityTracker) {
 				}
 			}
 		}
-		if t.mQACalls != nil {
-			t.mQACalls.Inc()
-			t.mReads.Add(int64(ev.Reads))
+		if t.mChains != nil {
 			t.mChains.Add(callChains)
 			t.mBroken.Add(callBroken)
 		}
 	case StrategyHitEvent:
 		if ev.Strategy >= 0 && ev.Strategy < len(a.strat) {
 			a.strat[ev.Strategy].hits++
-			if t.mStrat[ev.Strategy] != nil {
-				t.mStrat[ev.Strategy].Inc()
-			}
 		}
 		a.closeSegment(ev.Strategy, t)
 	case DegradeEvent:
 		a.degrades++
-		if t.mDegrades != nil {
-			t.mDegrades.Inc()
-		}
 		// A degraded iteration ran without QA guidance: the following
 		// segment joins the strategy-0 baseline.
 		a.closeSegment(0, t)

@@ -174,6 +174,17 @@ func TestQualityPreStrategyConflictsUnattributed(t *testing.T) {
 	}
 }
 
+// bySource returns one quality summary per event source the tracker saw.
+func bySource(t *QualityTracker) map[Source]QualitySummary {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make(map[Source]QualitySummary, len(t.bySource))
+	for src, agg := range t.bySource {
+		out[src] = agg.summary()
+	}
+	return out
+}
+
 // TestQualityBySourceIsolation: two interleaved sources must keep separate
 // conflict counters and segment state.
 func TestQualityBySourceIsolation(t *testing.T) {
@@ -187,7 +198,7 @@ func TestQualityBySourceIsolation(t *testing.T) {
 	q.EmitFrom(a, StrategyHitEvent{Strategy: 1})
 	q.EmitFrom(b, StrategyHitEvent{Strategy: 1})
 
-	per := q.BySource()
+	per := bySource(q)
 	sa, sb := per[a], per[b]
 	if sa.Conflicts != 10 || sb.Conflicts != 3 {
 		t.Fatalf("per-source conflicts a=%d b=%d, want 10/3", sa.Conflicts, sb.Conflicts)
@@ -203,8 +214,8 @@ func TestQualityBySourceIsolation(t *testing.T) {
 	}
 }
 
-// TestQualityRegistryMirrors: with a registry, totals appear as quality_*
-// metrics in the text exposition.
+// TestQualityRegistryMirrors: with a registry, the signals only the tracker
+// computes appear as quality_* metrics in the text exposition.
 func TestQualityRegistryMirrors(t *testing.T) {
 	reg := NewRegistry()
 	q := NewQualityTracker(reg)
@@ -214,12 +225,8 @@ func TestQualityRegistryMirrors(t *testing.T) {
 
 	snap := reg.Snapshot()
 	want := map[string]int64{
-		"quality_qa_calls_total":        1,
-		"quality_qa_reads_total":        2,
-		"quality_chains_total":          20,
-		"quality_chain_breaks_total":    3,
-		"quality_degrades_total":        1,
-		"quality_strategy_hits_total_1": 1,
+		"quality_chains_total":       20,
+		"quality_chain_breaks_total": 3,
 	}
 	for name, v := range want {
 		if snap.Counters[name] != v {
@@ -251,7 +258,11 @@ func TestComputeQualityMatchesLive(t *testing.T) {
 		lo.ChainBreakRate != ls.ChainBreakRate {
 		t.Fatalf("offline %+v != live %+v", lo, ls)
 	}
-	perSrc := ComputeQualityBySource(ring.Events())
+	offline := NewQualityTracker(nil)
+	for _, ev := range ring.Events() {
+		offline.EmitFrom(ev.Source(), ev.E)
+	}
+	perSrc := bySource(offline)
 	if _, ok := perSrc[Source{Solve: "s1", Name: "hyqsat"}]; !ok {
 		t.Fatalf("offline by-source lost attribution: %v", perSrc)
 	}

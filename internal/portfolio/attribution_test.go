@@ -3,6 +3,7 @@ package portfolio
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"hyqsat/internal/gen"
@@ -18,8 +19,25 @@ import (
 func TestRaceEventAttribution(t *testing.T) {
 	ring := obs.NewRing(4096)
 	inst := gen.SatisfiableRandom3SAT(30, 120, 11)
-	out, err := SolveWith(context.Background(), inst.Formula,
-		[]Entrant{MiniSATEntrant(1), HyQSATEntrant(3)},
+	// Every entrant emits its first "window" event before its first Run.
+	// Holding each first Run until all entrants have entered theirs makes
+	// sure each of them emits that event before any can win; otherwise
+	// minisat can win before the hyqsat goroutine is even scheduled.
+	entrants := []Entrant{MiniSATEntrant(1), HyQSATEntrant(3)}
+	var started sync.WaitGroup
+	started.Add(len(entrants))
+	for i := range entrants {
+		run := entrants[i].Run
+		var once sync.Once
+		entrants[i].Run = func(ctx context.Context, in RunInput) RunOutput {
+			once.Do(func() {
+				started.Done()
+				started.Wait()
+			})
+			return run(ctx, in)
+		}
+	}
+	out, err := SolveWith(context.Background(), inst.Formula, entrants,
 		RaceOptions{Trace: ring, Share: &ShareOptions{}})
 	if err != nil {
 		t.Fatalf("race: %v", err)

@@ -116,9 +116,6 @@ func NewPacker(g topo.Topology) (*Packer, error) {
 	return p, nil
 }
 
-// NumTiles returns the number of unit cells available for packing.
-func (p *Packer) NumTiles() int { return len(p.tiles) }
-
 // Topology returns the hardware graph the packer places onto.
 func (p *Packer) Topology() topo.Topology { return p.g }
 

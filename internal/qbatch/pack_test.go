@@ -184,7 +184,7 @@ func TestPackCapacityAndReset(t *testing.T) {
 	ep := memberProblem(t, g, 31, 1, 3)
 	added := 0
 	var capErr *PackError
-	for added <= p.NumTiles() {
+	for added <= len(p.tiles) {
 		if _, err := k.Add(ep); err != nil {
 			if !errors.As(err, &capErr) || capErr.Reason != ReasonCapacity {
 				t.Fatalf("after %d members: %v, want ReasonCapacity", added, err)
@@ -196,8 +196,8 @@ func TestPackCapacityAndReset(t *testing.T) {
 	if capErr == nil {
 		t.Fatalf("chip never filled after %d members", added)
 	}
-	if added == 0 || added > p.NumTiles() {
-		t.Fatalf("placed %d single-tile members on a %d-tile chip", added, p.NumTiles())
+	if added == 0 || added > len(p.tiles) {
+		t.Fatalf("placed %d single-tile members on a %d-tile chip", added, len(p.tiles))
 	}
 	k.Reset()
 	if _, err := k.Add(ep); err != nil {

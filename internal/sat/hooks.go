@@ -1,8 +1,6 @@
 package sat
 
 import (
-	"sort"
-
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/obs"
 )
@@ -12,33 +10,11 @@ import (
 // the package API so that alternative hybrid policies can be built on the
 // same solver.
 
-// ClauseScore returns the paper's activity score of input clause i
+// ClauseScores returns the paper's activity scores of all input clauses
 // (§IV-A: initialised to 1, bumped whenever the clause participates in
-// resolving a conflict).
-func (s *Solver) ClauseScore(i int) float64 { return s.clauseScore[i] }
-
-// ClauseScores returns the activity scores of all input clauses.
-// The returned slice is owned by the solver; callers must not mutate it.
+// resolving a conflict). The returned slice is owned by the solver; callers
+// must not mutate it.
 func (s *Solver) ClauseScores() []float64 { return s.clauseScore }
-
-// TopActiveClauses returns the indices of the n input clauses with the
-// highest activity scores, most active first.
-func (s *Solver) TopActiveClauses(n int) []int {
-	idx := make([]int, len(s.clauseScore))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if s.clauseScore[idx[a]] != s.clauseScore[idx[b]] {
-			return s.clauseScore[idx[a]] > s.clauseScore[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	if n > len(idx) {
-		n = len(idx)
-	}
-	return idx[:n]
-}
 
 // UnsatisfiedClauses returns the indices of input clauses not currently
 // satisfied by the partial assignment (the clause set the frontend receives
@@ -58,11 +34,6 @@ func (s *Solver) UnsatisfiedClauses() []int {
 		}
 	}
 	return out
-}
-
-// CurrentAssignment returns a snapshot of the current (partial) assignment.
-func (s *Solver) CurrentAssignment() cnf.Assignment {
-	return append(cnf.Assignment(nil), s.assigns...)
 }
 
 // VarValue returns the current truth value of v.
@@ -160,9 +131,3 @@ func (s *Solver) ClearInterrupt() { s.interrupted.Store(false) }
 
 // Formula returns the input formula the solver was built from.
 func (s *Solver) Formula() *cnf.Formula { return s.formula }
-
-// DecisionLevel returns the current decision level (0 = root).
-func (s *Solver) DecisionLevel() int { return int(s.decisionLevel()) }
-
-// NumLearnts returns the number of live learnt clauses.
-func (s *Solver) NumLearnts() int { return len(s.learnts) }

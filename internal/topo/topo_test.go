@@ -10,20 +10,6 @@ func both() []Topology {
 	return []Topology{NewChimera(4, 4, 4), NewPegasus(4)}
 }
 
-func TestNewByName(t *testing.T) {
-	g, err := New("chimera")
-	if err != nil || g.Name() != "chimera" || g.NumQubits() != 2048 {
-		t.Fatalf("New(chimera) = %v, %v", g, err)
-	}
-	p, err := New("pegasus")
-	if err != nil || p.Name() != "pegasus" || p.NumQubits() != 3*15*15*8 {
-		t.Fatalf("New(pegasus) = %v, %v", p, err)
-	}
-	if _, err := New("zephyr"); err == nil {
-		t.Fatal("New(zephyr) should error")
-	}
-}
-
 // Neighbors must agree with Coupled, be symmetric, and exclude broken and
 // self qubits — on every topology, including after random breakage.
 func TestNeighborsConsistent(t *testing.T) {
