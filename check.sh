@@ -37,15 +37,15 @@ HYQSAT_PERF_GATE=1 go test -run=TestResilientOverhead -count=1 -v ./internal/qpu
 go test -race -count=1 ./internal/qbatch
 go test -run='TestSampleBatchBitIdenticalToSequentialSample|TestSplitAccessTimeSumsExactly' -count=1 ./internal/anneal
 go test -run='TestPackSteadyStateAllocs' -count=1 ./internal/qbatch
-# Wire-chaos gate: the networked path end to end under the race detector —
-# the hyqsatd service layer (admission control, per-tenant quotas,
-# idempotency, SIGTERM drain), full hybrid solves through qpu.Remote behind
-# a fault-injecting proxy at >=30% fault rates with certified verdicts and
-# goroutine accounting, and dead-server degradation to the Local standby.
-# The decode fuzz targets pin that no wire payload can panic either side.
+# Service gate: the hyqsatd service layer under the race detector —
+# admission control, per-tenant concurrency and device-time quotas charged
+# on the job path (pro-rata refunds of batched programs, a spent hard budget
+# stopping QA with a certified verdict), idempotent submits racing on one
+# key, deadline propagation, SIGTERM drain, jobs over the HTTP API whose QA
+# accesses are fault-injected at 35-40% rates returning certified verdicts
+# with the tenant charged exactly the device time run and no goroutine left
+# behind, and the daemon binary end to end.
 go test -race -count=1 ./internal/serve ./cmd/hyqsatd
-go test -run='^$' -fuzz=FuzzRemoteDecode -fuzztime=10s ./internal/qpu
-go test -run='^$' -fuzz=FuzzWireProblemDecode -fuzztime=10s ./internal/anneal
 # Built-binary service smoke: a real hyqsatd process with QPU batching on
 # serves a job round trip (submit DIMACS, poll to a certified verdict), its
 # introspection listener reports the solve's QA accesses ran as batched

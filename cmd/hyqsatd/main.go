@@ -1,15 +1,16 @@
 // Command hyqsatd serves the hybrid solver over HTTP/JSON, engineered for
 // failure first: bounded job queue with reject-don't-buffer admission,
-// per-tenant quotas on concurrent jobs and modelled QA device time,
-// idempotency keys against double-submits, client deadline propagation, and
-// graceful drain on SIGTERM/SIGINT (stop accepting, finish or checkpoint
-// in-flight jobs, flush traces).
+// per-tenant quotas on concurrent jobs and on the modelled QA device time
+// their solves use (-tenant-device, -tenant-refill), idempotency keys
+// against double-submits, client deadline propagation, and graceful drain
+// on SIGTERM/SIGINT (stop accepting, finish or checkpoint in-flight jobs,
+// flush traces). Concurrent jobs' QA accesses share one batching scheduler
+// (-qpu-window, -qpu-batch-members).
 //
 // API (see DESIGN.md §14 and the README's "Running as a service"):
 //
 //	POST /v1/jobs        {"cnf": "<DIMACS>", "seed": n} → 202 {"id": ...}
 //	GET  /v1/jobs/{id}   job status / certified verdict
-//	POST /v1/qpu/sample  remote QA sampling for qpu.Remote clients
 //	GET  /healthz        liveness + drain state
 //
 // A second -obs address exposes the usual introspection endpoints
@@ -48,12 +49,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	queueDepth := fs.Int("queue", 16, "job queue depth; a full queue refuses with 429")
 	workers := fs.Int("workers", 2, "solve worker count")
 	maxConcurrent := fs.Int("tenant-jobs", 4, "per-tenant concurrent job quota")
-	deviceBudget := fs.Duration("tenant-device", 50*time.Millisecond, "per-tenant QA device-time bucket")
-	deviceRefill := fs.Duration("tenant-refill", 5*time.Millisecond, "device-time refill per second; 0 makes the budget hard")
+	deviceBudget := fs.Duration("tenant-device", 50*time.Millisecond, "per-tenant bucket of modelled QA device time its jobs' solves draw on")
+	deviceRefill := fs.Duration("tenant-refill", 5*time.Millisecond, "device-time refill per second; 0 makes the budget hard (a job that spends it stops QA)")
 	solveTimeout := fs.Duration("solve-timeout", 2*time.Minute, "per-job solve cap")
 	drainGrace := fs.Duration("drain-grace", 5*time.Second, "how long drain lets in-flight solves finish before checkpointing them")
 	traceFile := fs.String("trace", "", "append the JSONL solve trace to this file")
-	qpuWindow := fs.Duration("qpu-window", 0, "QPU batching window: concurrent sample/solve QA accesses within it share one device program (0 = default 100µs, negative disables batching)")
+	qpuWindow := fs.Duration("qpu-window", 0, "QPU batching window: concurrent jobs' QA accesses within it share one device program (0 = default 100µs, negative disables batching)")
 	qpuMembers := fs.Int("qpu-batch-members", 0, "max requests per batched device program (0 = default)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the daemon's lifetime to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken at drain to this file")

@@ -281,6 +281,14 @@ func (ep *EmbeddedProblem) finalize(adj [][]coupling) {
 // NumActiveQubits returns the number of qubits carrying the problem.
 func (ep *EmbeddedProblem) NumActiveQubits() int { return len(ep.Qubits) }
 
+// Adjacency returns the problem's coupler graph in CSR form over active-qubit
+// indices: the couplers of Qubits[i] join it to Qubits[other[e]] for e in
+// [start[i], start[i+1]). The slices alias the problem; treat them as
+// read-only.
+func (ep *EmbeddedProblem) Adjacency() (start, other []int32) {
+	return ep.adjStart, ep.adjOther
+}
+
 // Sample is the result of one hardware sample: raw qubit spins, the
 // majority-voted logical values, how many chains were broken, and the raw
 // hardware energy.

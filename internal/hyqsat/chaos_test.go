@@ -195,11 +195,15 @@ type permanentReject struct{ calls int }
 
 func (p *permanentReject) Submit(context.Context, *anneal.EmbeddedProblem, int) (anneal.ReadSet, error) {
 	p.calls++
-	return anneal.ReadSet{}, &qpu.RemoteError{
-		Reason: "status", Status: 403, Detail: "device budget spent", IsPermanent: true,
-	}
+	return anneal.ReadSet{}, budgetSpent{}
 }
 func (p *permanentReject) Name() string { return "reject" }
+
+// budgetSpent is the rejection permanentReject returns.
+type budgetSpent struct{}
+
+func (budgetSpent) Error() string   { return "device budget spent" }
+func (budgetSpent) Permanent() bool { return true }
 
 // TestPermanentRejectionDisablesQA: a permanent policy rejection (quota
 // spent, auth revoked) must degrade the iteration AND switch the remaining

@@ -8,8 +8,7 @@
 //
 // The package has two layers: the Packer/Packing pair places member problems
 // onto disjoint tile regions (first-fit over free unit cells, zero-alloc
-// renaming in steady state) and can materialize the merged embedded problem
-// with per-member demux maps; the Scheduler collects concurrent requests for
+// renaming in steady state); the Scheduler collects concurrent requests for
 // a short window, packs them, runs one batched device access, and charges
 // each member a pro-rata share of the single program's access time.
 package qbatch
@@ -120,13 +119,14 @@ func NewPacker(g topo.Topology) (*Packer, error) {
 func (p *Packer) Topology() topo.Topology { return p.g }
 
 // Compatible reports whether ep was embedded for (a graph interchangeable
-// with) the packer's topology. A nil Graph — e.g. a problem decoded from the
-// wire — is accepted; feasibility is then judged purely by whether its qubit
-// ids resolve onto the packer's tiles.
+// with) the packer's topology.
 func (p *Packer) Compatible(ep *anneal.EmbeddedProblem) error {
 	g := ep.Graph
-	if g == nil || g == p.g {
+	if g == p.g {
 		return nil
+	}
+	if g == nil {
+		return &PackError{Reason: ReasonTopology, Detail: "problem names no hardware graph"}
 	}
 	if g.Name() != p.g.Name() || g.NumQubits() != p.g.NumQubits() {
 		return &PackError{Reason: ReasonTopology, Detail: fmt.Sprintf(
@@ -154,20 +154,14 @@ type placement struct {
 	qubitLen int
 	tileOff  int // offset into tileBuf; length = source-tile count
 	tileLen  int
-	nodeOff  int // first merged node id of this member's chains
-	nodes    int
 }
 
-// Placement is the demux map of one packed member: the relocated physical
-// qubit id per active-qubit index, the target tiles occupied, and the
-// half-open merged node id range [NodeOffset, NodeOffset+Nodes) its chain
-// nodes were renumbered into. The slices are views into the packing's
-// buffers — valid until the next Add or Reset.
+// Placement is where one packed member landed: the relocated physical qubit
+// id per active-qubit index and the target tiles occupied. The slices are
+// views into the packing's buffers — valid until the next Add or Reset.
 type Placement struct {
-	QubitMap   []int
-	Tiles      []int32
-	NodeOffset int
-	Nodes      int
+	QubitMap []int
+	Tiles    []int32
 }
 
 // Packing is one in-progress co-tiling of member problems onto disjoint
@@ -192,11 +186,9 @@ type Packing struct {
 	chosenStamp []uint32
 	memTiles    []memberTile
 
-	members    []anneal.WireProblem
 	placements []placement
 	qubitBuf   []int
 	tileBuf    []int32
-	nodeCount  int
 }
 
 // NewPacking returns an empty packing over the packer's topology.
@@ -216,24 +208,20 @@ func (p *Packer) NewPacking() *Packing {
 // Reset empties the packing, retaining every buffer for reuse.
 func (k *Packing) Reset() {
 	k.epoch++
-	k.members = k.members[:0]
 	k.placements = k.placements[:0]
 	k.qubitBuf = k.qubitBuf[:0]
 	k.tileBuf = k.tileBuf[:0]
-	k.nodeCount = 0
 }
 
 // Len returns the number of committed members.
-func (k *Packing) Len() int { return len(k.members) }
+func (k *Packing) Len() int { return len(k.placements) }
 
-// Placement returns the demux map of committed member i.
+// Placement returns where committed member i landed.
 func (k *Packing) Placement(i int) Placement {
 	pl := k.placements[i]
 	return Placement{
-		QubitMap:   k.qubitBuf[pl.qubitOff : pl.qubitOff+pl.qubitLen : pl.qubitOff+pl.qubitLen],
-		Tiles:      k.tileBuf[pl.tileOff : pl.tileOff+pl.tileLen : pl.tileOff+pl.tileLen],
-		NodeOffset: pl.nodeOff,
-		Nodes:      pl.nodes,
+		QubitMap: k.qubitBuf[pl.qubitOff : pl.qubitOff+pl.qubitLen : pl.qubitOff+pl.qubitLen],
+		Tiles:    k.tileBuf[pl.tileOff : pl.tileOff+pl.tileLen : pl.tileOff+pl.tileLen],
 	}
 }
 
@@ -265,13 +253,14 @@ func (k *Packing) Add(ep *anneal.EmbeddedProblem) (int, error) {
 		return 0, err
 	}
 	k.addEpoch++
-	w := ep.WireView()
 	p := k.p
+	qubits := ep.Qubits
+	adjStart, adjOther := ep.Adjacency()
 
 	// Pass 1: resolve every active qubit to a (tile, side, pos) coordinate
 	// and accumulate per-source-tile usage masks.
 	k.memTiles = k.memTiles[:0]
-	for _, q := range w.Qubits {
+	for _, q := range qubits {
 		if q < 0 || q >= len(p.qubitTile) {
 			return 0, &PackError{Reason: ReasonLayout,
 				Detail: fmt.Sprintf("qubit %d outside the %d-qubit device", q, len(p.qubitTile))}
@@ -298,10 +287,9 @@ func (k *Packing) Add(ep *anneal.EmbeddedProblem) (int, error) {
 	// two sides of one unit cell — the only couplers an arbitrary cell
 	// renaming is guaranteed to preserve.
 	tileLocal := true
-	for i := range w.Qubits {
-		qi := w.Qubits[i]
-		for e := w.AdjStart[i]; e < w.AdjStart[i+1]; e++ {
-			qo := w.Qubits[w.AdjOther[e]]
+	for i, qi := range qubits {
+		for e := adjStart[i]; e < adjStart[i+1]; e++ {
+			qo := qubits[adjOther[e]]
 			if p.qubitTile[qi] != p.qubitTile[qo] || p.qubitSide[qi] == p.qubitSide[qo] {
 				tileLocal = false
 				break
@@ -319,7 +307,7 @@ func (k *Packing) Add(ep *anneal.EmbeddedProblem) (int, error) {
 			return 0, err
 		}
 	} else {
-		if err := k.placeTranslated(&w); err != nil {
+		if err := k.placeTranslated(ep); err != nil {
 			return 0, err
 		}
 	}
@@ -330,7 +318,7 @@ func (k *Packing) Add(ep *anneal.EmbeddedProblem) (int, error) {
 		k.occStamp[mt.target] = k.epoch
 		k.tileBuf = append(k.tileBuf, mt.target)
 	}
-	for _, q := range w.Qubits {
+	for _, q := range qubits {
 		mt := k.memTiles[k.srcIx[p.qubitTile[q]]]
 		tile := p.tiles[mt.target]
 		if p.qubitSide[q] == 0 {
@@ -339,14 +327,11 @@ func (k *Packing) Add(ep *anneal.EmbeddedProblem) (int, error) {
 			k.qubitBuf = append(k.qubitBuf, tile.B[p.qubitPos[q]])
 		}
 	}
-	idx := len(k.members)
-	k.members = append(k.members, w)
+	idx := len(k.placements)
 	k.placements = append(k.placements, placement{
-		qubitOff: qubitOff, qubitLen: len(w.Qubits),
+		qubitOff: qubitOff, qubitLen: len(qubits),
 		tileOff: tileOff, tileLen: len(k.memTiles),
-		nodeOff: k.nodeCount, nodes: len(w.ChainNodes),
 	})
-	k.nodeCount += len(w.ChainNodes)
 	return idx, nil
 }
 
@@ -370,7 +355,7 @@ func (k *Packing) placePerTile() error {
 		if target < 0 {
 			return &PackError{Reason: ReasonCapacity,
 				Detail: fmt.Sprintf("no free cell fits member cell %d (%d members already placed)",
-					mt.src, len(k.members))}
+					mt.src, len(k.placements))}
 		}
 		k.chosenStamp[target] = k.addEpoch
 		mt.target = target
@@ -383,8 +368,9 @@ func (k *Packing) placePerTile() error {
 // coupler of the member is re-checked against the topology at the shifted
 // position. Candidate deltas put the member's first source cell on each cell
 // of the chip in order; delta 0 (the original placement) is among them.
-func (k *Packing) placeTranslated(w *anneal.WireProblem) error {
+func (k *Packing) placeTranslated(ep *anneal.EmbeddedProblem) error {
 	p := k.p
+	adjStart, adjOther := ep.Adjacency()
 	n := int32(len(p.tiles))
 	first := k.memTiles[0].src
 cand:
@@ -404,10 +390,10 @@ cand:
 		// catches grid-boundary wraps (the tile order is row-major, so a
 		// delta can slide a member across a row edge) and any couplers the
 		// Tile contract does not guarantee.
-		for i := range w.Qubits {
-			ri := k.relocated(w.Qubits[i], delta)
-			for e := w.AdjStart[i]; e < w.AdjStart[i+1]; e++ {
-				ro := k.relocated(w.Qubits[w.AdjOther[e]], delta)
+		for i, q := range ep.Qubits {
+			ri := k.relocated(q, delta)
+			for e := adjStart[i]; e < adjStart[i+1]; e++ {
+				ro := k.relocated(ep.Qubits[adjOther[e]], delta)
 				if !p.g.Coupled(ri, ro) {
 					continue cand
 				}
@@ -421,7 +407,7 @@ cand:
 	}
 	return &PackError{Reason: ReasonCapacity,
 		Detail: fmt.Sprintf("no translation fits the %d-cell member (%d members already placed)",
-			len(k.memTiles), len(k.members))}
+			len(k.memTiles), len(k.placements))}
 }
 
 // relocated returns the physical qubit id of q after a tile translation by
@@ -433,69 +419,4 @@ func (k *Packing) relocated(q int, delta int32) int {
 		return tile.A[p.qubitPos[q]]
 	}
 	return tile.B[p.qubitPos[q]]
-}
-
-// BuildMerged materializes the packing as one embedded problem: member wire
-// forms concatenated with qubits renamed to their relocated physical ids,
-// chain nodes renumbered into disjoint [NodeOffset, NodeOffset+Nodes)
-// ranges, and index spaces (adjacency rows, pair ids, chain indices)
-// shifted past earlier members. The result is validated by the same
-// anneal.WireProblem.Problem checks that guard wire decoding, so a packing
-// bug surfaces as a typed error here rather than a mis-sample. BuildMerged
-// allocates; the scheduler's hot path never calls it (batched members are
-// sampled per-member for bit-exact determinism), it exists for tests,
-// tooling, and any future path that programs a real merged device job.
-func (k *Packing) BuildMerged() (*anneal.EmbeddedProblem, error) {
-	if len(k.members) == 0 {
-		return nil, fmt.Errorf("qbatch: empty packing")
-	}
-	var w anneal.WireProblem
-	w.AdjStart = append(w.AdjStart, 0)
-	pairBase := int32(0)
-	for i, m := range k.members {
-		pl := k.placements[i]
-		base := int32(len(w.Qubits))
-		edgeBase := int32(len(w.AdjOther))
-		w.Qubits = append(w.Qubits, k.qubitBuf[pl.qubitOff:pl.qubitOff+pl.qubitLen]...)
-		w.H = append(w.H, m.H...)
-		w.Offset += m.Offset
-		for _, row := range m.AdjStart[1:] {
-			w.AdjStart = append(w.AdjStart, edgeBase+row)
-		}
-		for e, other := range m.AdjOther {
-			w.AdjOther = append(w.AdjOther, base+other)
-			w.AdjJ = append(w.AdjJ, m.AdjJ[e])
-			w.AdjPair = append(w.AdjPair, pairBase+m.AdjPair[e])
-		}
-		pairBase += int32(m.NumPairs)
-		w.NumPairs += m.NumPairs
-		for ci := range m.ChainNodes {
-			w.ChainNodes = append(w.ChainNodes, pl.nodeOff+ci)
-		}
-		for _, chain := range m.Chains {
-			shifted := make([]int, len(chain))
-			for j, ix := range chain {
-				shifted[j] = int(base) + ix
-			}
-			w.Chains = append(w.Chains, shifted)
-		}
-	}
-	return w.Problem()
-}
-
-// DemuxNodeValues translates a merged-problem sample back into member i's
-// original logical node ids, writing into dst (allocated when nil) and
-// returning it.
-func (k *Packing) DemuxNodeValues(i int, merged map[int]bool, dst map[int]bool) map[int]bool {
-	m := k.members[i]
-	pl := k.placements[i]
-	if dst == nil {
-		dst = make(map[int]bool, len(m.ChainNodes))
-	}
-	for ci, node := range m.ChainNodes {
-		if v, ok := merged[pl.nodeOff+ci]; ok {
-			dst[node] = v
-		}
-	}
-	return dst
 }

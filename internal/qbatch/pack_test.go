@@ -92,56 +92,6 @@ func TestPackDisjointPlacement(t *testing.T) {
 	}
 }
 
-// TestPackMergedProblemValidates checks that the merged embedded problem
-// passes the full wire-problem validation (CSR shape, chain indices, no
-// duplicate qubits), samples without panicking, and that the per-member
-// demux recovers exactly each member's logical node set.
-func TestPackMergedProblemValidates(t *testing.T) {
-	g := topo.DWave2000Q()
-	p, err := NewPacker(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := p.NewPacking()
-	members := []*anneal.EmbeddedProblem{
-		memberProblem(t, g, 11, 3, 4),
-		memberProblem(t, g, 12, 1, 3),
-		memberProblem(t, g, 13, 5, 6),
-	}
-	for i, ep := range members {
-		if _, err := k.Add(ep); err != nil {
-			t.Fatalf("member %d: %v", i, err)
-		}
-	}
-	merged, err := k.BuildMerged()
-	if err != nil {
-		t.Fatalf("merged problem fails validation: %v", err)
-	}
-	wantQubits := 0
-	for _, ep := range members {
-		wantQubits += len(ep.Qubits)
-	}
-	if len(merged.Qubits) != wantQubits {
-		t.Fatalf("merged problem has %d qubits, want %d", len(merged.Qubits), wantQubits)
-	}
-
-	s := anneal.NewSampler(anneal.DefaultSchedule(), anneal.DWave2000QNoise, 3)
-	rs := s.Sample(merged, 2)
-	sample := rs.BestSample()
-	for i, ep := range members {
-		got := k.DemuxNodeValues(i, sample.NodeValues, nil)
-		w := ep.WireView()
-		if len(got) != len(w.ChainNodes) {
-			t.Fatalf("member %d: demuxed %d nodes, want %d", i, len(got), len(w.ChainNodes))
-		}
-		for _, node := range w.ChainNodes {
-			if _, ok := got[node]; !ok {
-				t.Fatalf("member %d: demux lost logical node %d", i, node)
-			}
-		}
-	}
-}
-
 // TestPackRefusesForeignTopology is the co-tiling refusal contract: a
 // problem embedded for a different hardware graph is rejected with a typed
 // *PackError (ReasonTopology), never a panic, and the packing is unchanged.
@@ -164,6 +114,11 @@ func TestPackRefusesForeignTopology(t *testing.T) {
 	}
 	if k.Len() != 0 {
 		t.Fatalf("failed Add left %d members in the packing", k.Len())
+	}
+	// A problem naming no hardware graph cannot be placed either.
+	foreign.Graph = nil
+	if _, err = k.Add(foreign); !errors.As(err, &pe) || pe.Reason != ReasonTopology {
+		t.Fatalf("Add(graph-less problem) = %v, want *PackError{ReasonTopology}", err)
 	}
 	// Same family and size → compatible, regardless of instance identity.
 	if _, err := k.Add(memberProblem(t, topo.DWave2000Q(), 22, 1, 3)); err != nil {
@@ -254,14 +209,14 @@ func TestPackTranslationPreservesCouplers(t *testing.T) {
 		t.Fatalf("Add(chained member): %v", err)
 	}
 	pl := k.Placement(idx)
-	w := chained.WireView()
+	adjStart, adjOther := chained.Adjacency()
 	moved := false
-	for i, q := range w.Qubits {
+	for i, q := range chained.Qubits {
 		if pl.QubitMap[i] != q {
 			moved = true
 		}
-		for e := w.AdjStart[i]; e < w.AdjStart[i+1]; e++ {
-			other := w.AdjOther[e]
+		for e := adjStart[i]; e < adjStart[i+1]; e++ {
+			other := adjOther[e]
 			if !g.Coupled(pl.QubitMap[i], pl.QubitMap[other]) {
 				t.Fatalf("relocated coupler %d–%d does not exist on the device",
 					pl.QubitMap[i], pl.QubitMap[other])

@@ -28,6 +28,15 @@ import (
 	"hyqsat/internal/anneal"
 )
 
+// Request headers of the hyqsatd job API (internal/serve): the tenant its
+// quotas charge, the client's idempotency key, and the milliseconds of
+// client deadline remaining.
+const (
+	HeaderIdempotency = "Idempotency-Key"
+	HeaderTenant      = "X-Hyqsat-Tenant"
+	HeaderDeadlineMs  = "X-Hyqsat-Deadline-Ms"
+)
+
 // Backend is a QPU access point: it programs an embedded problem and draws
 // reads samples from it. Submit honours ctx cancellation and deadlines at
 // submission boundaries (a started anneal, like a real device access, cannot
@@ -56,6 +65,17 @@ type CostedBackend interface {
 // backend while the circuit breaker is open (or a half-open probe is already
 // in flight).
 var ErrBreakerOpen = errors.New("qpu: circuit breaker open")
+
+// Permanent reports whether err is a permanent backend failure — one that
+// retries, backoff, or a breaker cooldown cannot fix (quota budget exhausted,
+// authorization rejected, payload refused by policy). An error opts in by
+// implementing Permanent() bool. Callers use it to stop submitting rather
+// than to keep paying for rejections: the Resilient wrapper aborts its retry
+// loop, and the hybrid loop disables QA for the remainder of the solve.
+func Permanent(err error) bool {
+	var p interface{ Permanent() bool }
+	return errors.As(err, &p) && p.Permanent()
+}
 
 // FaultError is a failure reported by (or injected into) the QPU backend;
 // Fault is a stable tag naming the failure mode ("timeout", "transient",

@@ -267,6 +267,32 @@ func (f backendFunc) Submit(ctx context.Context, ep *anneal.EmbeddedProblem, rea
 	return f(ctx, ep, reads)
 }
 
+// permanentError is a policy rejection (a spent quota, say): it satisfies
+// Permanent.
+type permanentError struct{}
+
+func (permanentError) Error() string   { return "quota budget spent" }
+func (permanentError) Permanent() bool { return true }
+
+// TestResilientStopsOnPermanentError: a permanent rejection is not retried,
+// and it reaches the caller still classified as permanent.
+func TestResilientStopsOnPermanentError(t *testing.T) {
+	var calls int
+	be := backendFunc(func(ctx context.Context, ep *anneal.EmbeddedProblem, reads int) (anneal.ReadSet, error) {
+		calls++
+		return anneal.ReadSet{}, permanentError{}
+	})
+	r := NewResilient(be, Config{MaxAttempts: 5, Seed: 1,
+		Sleep: func(ctx context.Context, d time.Duration) error { return nil }})
+	_, err := r.Submit(context.Background(), testEmbeddedProblem(t), 1)
+	if !Permanent(err) {
+		t.Fatalf("permanence lost through Resilient: %v", err)
+	}
+	if calls != 1 {
+		t.Fatalf("permanent error retried: %d attempts", calls)
+	}
+}
+
 // TestResilientHappyPathAllocs is the alloc half of the overhead gate: on the
 // happy path (closed breaker, first attempt succeeds, CallTimeout armed) the
 // Resilient wrapper must add zero allocations over calling the backend

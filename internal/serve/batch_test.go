@@ -1,12 +1,8 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +10,8 @@ import (
 	"hyqsat/internal/anneal"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
+	"hyqsat/internal/gen"
+	"hyqsat/internal/hyqsat"
 	"hyqsat/internal/obs"
 	"hyqsat/internal/qpu"
 	"hyqsat/internal/qubo"
@@ -21,9 +19,7 @@ import (
 )
 
 // nativeProblem builds a small embedded problem on the service's own 2000Q
-// topology, so its wire form is co-tileable by the batching scheduler
-// (remoteProblem uses a 4×4 test graph whose couplers don't exist on the
-// 16×16 chip — those requests still work, but as solo programs).
+// topology, so the batching scheduler can co-tile it.
 func nativeProblem(t testing.TB, v1, v2, v3 int) *anneal.EmbeddedProblem {
 	t.Helper()
 	g := topo.DWave2000Q()
@@ -38,30 +34,27 @@ func nativeProblem(t testing.TB, v1, v2, v3 int) *anneal.EmbeddedProblem {
 	return anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 }
 
-func postSample(t testing.TB, url, tenant string, ep *anneal.EmbeddedProblem, reads int) (int, []byte) {
-	t.Helper()
-	blob, err := json.Marshal(qpu.SampleRequest{Problem: ep.Wire(), Reads: reads})
-	if err != nil {
-		t.Fatal(err)
+// tenantUsage reads a tenant's live accounting: jobs holding a concurrency
+// slot and the device-time balance.
+func tenantUsage(svc *Service, name string) (inFlight int, balance time.Duration) {
+	svc.tenants.mu.Lock()
+	defer svc.tenants.mu.Unlock()
+	ts := svc.tenants.byName[name]
+	if ts == nil {
+		return 0, 0
 	}
-	req, _ := http.NewRequest("POST", url+qpu.SamplePath, bytes.NewReader(blob))
-	req.Header.Set(qpu.HeaderTenant, tenant)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, body
+	return ts.inFlight, ts.device.balance
 }
 
-// TestSampleBatchingRefundsProRata is the end-to-end quota contract of the
-// batching path: two concurrent sample requests share one device program and
-// are charged pro-rata, so a hard budget of exactly two solo accesses still
-// admits a third request — and refuses a fourth once genuinely spent.
+// TestSampleBatchingRefundsProRata is the quota contract of the batching
+// path: two concurrent charged accesses share one device program, and after
+// the refunds the bucket is down exactly one solo access time. The hard
+// budget of two solo accesses therefore still admits a third access, and
+// refuses a fourth permanently once genuinely spent.
 func TestSampleBatchingRefundsProRata(t *testing.T) {
 	tm := anneal.DWave2000QTiming()
 	const reads = 4
+	access := tm.AccessTime(reads)
 	reg := obs.NewRegistry()
 	svc := New(Config{
 		Workers:         1,
@@ -69,85 +62,160 @@ func TestSampleBatchingRefundsProRata(t *testing.T) {
 		BatchMaxMembers: 2,
 		DefaultQuota: TenantQuota{
 			MaxConcurrent: 4,
-			DeviceBudget:  2 * tm.AccessTime(reads),
-			// No refill: a hard budget, so admission arithmetic is exact.
+			DeviceBudget:  2 * access,
+			// No refill: a hard budget, so the arithmetic is exact.
 		},
 		Metrics: reg,
 	})
 	defer svc.Drain(context.Background())
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
 
 	eps := []*anneal.EmbeddedProblem{
 		nativeProblem(t, 1, 2, 3),
 		nativeProblem(t, 4, 5, 6),
 	}
 	var wg sync.WaitGroup
-	codes := make([]int, 2)
-	bodies := make([][]byte, 2)
+	shares := make([]time.Duration, len(eps))
+	errs := make([]error, len(eps))
 	for i := range eps {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i], bodies[i] = postSample(t, srv.URL, "pro-rata", eps[i], reads)
+			_, shares[i], errs[i] = svc.jobBackend("pro-rata").SubmitCosted(context.Background(), eps[i], reads)
 		}(i)
 	}
 	wg.Wait()
-	for i, code := range codes {
-		if code != http.StatusOK {
-			t.Fatalf("batched request %d: %d %s", i, code, bodies[i])
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("batched access %d: %v", i, err)
 		}
 	}
 	if got := reg.Counter("batch_programs").Value(); got != 1 {
-		t.Fatalf("two concurrent samples ran %d programs, want 1 (window missed?)", got)
+		t.Fatalf("two concurrent accesses ran %d programs, want 1 (window missed?)", got)
 	}
 	if got := reg.Counter("batch_members").Value(); got != 2 {
 		t.Fatalf("batch_members = %d, want 2", got)
 	}
-	// The members' pro-rata shares sum to exactly one program's access time.
-	if got := reg.Counter("serve_qpu_device_ns").Value(); got != tm.AccessTime(reads).Nanoseconds() {
-		t.Fatalf("device busy %dns, want one program's %dns", got, tm.AccessTime(reads).Nanoseconds())
+	if shares[0]+shares[1] != access {
+		t.Fatalf("shares %v + %v, want one program's %v", shares[0], shares[1], access)
+	}
+	if _, balance := tenantUsage(svc, "pro-rata"); balance != access {
+		t.Fatalf("balance %v after one shared program, want %v left of %v", balance, access, 2*access)
 	}
 
 	// The refunds left exactly one solo access in the bucket.
-	if code, body := postSample(t, srv.URL, "pro-rata", eps[0], reads); code != http.StatusOK {
-		t.Fatalf("third request after refunds: %d %s", code, body)
+	be := svc.jobBackend("pro-rata")
+	if _, err := be.Submit(context.Background(), eps[0], reads); err != nil {
+		t.Fatalf("third access after refunds: %v", err)
 	}
-	if code, _ := postSample(t, srv.URL, "pro-rata", eps[0], reads); code != http.StatusForbidden {
-		t.Fatalf("fourth request on a spent hard budget: %d, want 403", code)
+	if _, err := be.Submit(context.Background(), eps[0], reads); !qpu.Permanent(err) {
+		t.Fatalf("fourth access on a spent hard budget: %v, want a permanent refusal", err)
 	}
 }
 
-// TestSampleBatchingOffChargesFull: with batching disabled every request is
-// its own program at full access time — the same budget admits exactly two.
+// TestSampleBatchingOffChargesFull: with batching disabled every access is
+// its own program and takes a full solo access time from the bucket.
 func TestSampleBatchingOffChargesFull(t *testing.T) {
 	tm := anneal.DWave2000QTiming()
 	const reads = 4
+	access := tm.AccessTime(reads)
 	reg := obs.NewRegistry()
 	svc := New(Config{
-		Workers:     1,
-		BatchWindow: -1,
-		DefaultQuota: TenantQuota{
-			MaxConcurrent: 4,
-			DeviceBudget:  2 * tm.AccessTime(reads),
-		},
-		Metrics: reg,
+		Workers:      1,
+		BatchWindow:  -1,
+		DefaultQuota: TenantQuota{MaxConcurrent: 4, DeviceBudget: 3 * access},
+		Metrics:      reg,
 	})
 	defer svc.Drain(context.Background())
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
 
+	be := svc.jobBackend("solo")
 	ep := nativeProblem(t, 1, 2, 3)
-	for i := 0; i < 2; i++ {
-		if code, body := postSample(t, srv.URL, "solo", ep, reads); code != http.StatusOK {
-			t.Fatalf("solo request %d: %d %s", i, code, body)
+	for i := 1; i <= 2; i++ {
+		_, share, err := be.SubmitCosted(context.Background(), ep, reads)
+		if err != nil {
+			t.Fatalf("solo access %d: %v", i, err)
+		}
+		if share != access {
+			t.Fatalf("solo access %d charged %v, want %v", i, share, access)
+		}
+		if _, balance := tenantUsage(svc, "solo"); balance != time.Duration(3-i)*access {
+			t.Fatalf("balance %v after %d solo accesses, want %v", balance, i, time.Duration(3-i)*access)
 		}
 	}
-	if code, _ := postSample(t, srv.URL, "solo", ep, reads); code != http.StatusForbidden {
-		t.Fatalf("third solo request: %d, want 403", code)
-	}
-	if got := reg.Counter("serve_qpu_device_ns").Value(); got != 2*tm.AccessTime(reads).Nanoseconds() {
+	if got := reg.Counter("batch_device_ns").Value(); got != 2*access.Nanoseconds() {
 		t.Fatalf("device busy %dns, want two full programs", got)
+	}
+}
+
+// TestJobHardDeviceBudgetStopsQA is the device quota end to end on the job
+// path: a tenant whose hard budget covers one QA access gets that access,
+// then the refusal degrades the iteration once and stops QA for the rest of
+// the solve, and the verdict still comes back certified.
+func TestJobHardDeviceBudgetStopsQA(t *testing.T) {
+	ring := obs.NewRing(1 << 14)
+	reg := obs.NewRegistry()
+	solve := hyqsat.SimulatorOptions()
+	solve.SelfCertify = true
+	svc := New(Config{
+		Workers: 1, Solve: solve, HaveSolveDefaults: true,
+		Trace: ring, Metrics: reg,
+	})
+	defer svc.Drain(context.Background())
+	svc.SetQuota("capped", TenantQuota{DeviceBudget: anneal.DWave2000QTiming().AccessTime(1)})
+
+	inst := gen.SatisfiableRandom3SAT(40, 170, 3)
+	view, err := svc.Submit("capped", "", SubmitRequest{CNF: cnf.DIMACSString(inst.Formula), Seed: 3}, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for view.State == StateQueued || view.State == StateRunning {
+		if !time.Now().Before(deadline) {
+			t.Fatal("job never finished")
+		}
+		time.Sleep(5 * time.Millisecond)
+		view, _ = svc.Job(view.ID)
+	}
+	if view.State != StateDone || view.Verdict != "sat" || !view.Certified {
+		t.Fatalf("capped job: %+v", view)
+	}
+	svc.mu.Lock()
+	j := svc.jobs[view.ID]
+	svc.mu.Unlock()
+	j.mu.Lock()
+	stats := j.result.Stats
+	j.mu.Unlock()
+	if stats.QACalls != 1 || stats.QADegraded < 1 {
+		t.Fatalf("qa calls %d, degraded %d: want the one budgeted call, then degradation",
+			stats.QACalls, stats.QADegraded)
+	}
+
+	// Exactly one degradation, naming the device-time quota, and no device
+	// program after it.
+	degrades, programsAfter := 0, 0
+	for _, ev := range ring.Events() {
+		switch e := ev.E.(type) {
+		case obs.DegradeEvent:
+			if ev.Solve != view.ID {
+				continue
+			}
+			degrades++
+			if !strings.Contains(e.Err, "device_time") {
+				t.Fatalf("degrade cause %q does not name the device_time quota", e.Err)
+			}
+		case obs.BatchEvent:
+			if degrades > 0 {
+				programsAfter++
+			}
+		}
+	}
+	if degrades != 1 {
+		t.Fatalf("%d degrade events, want exactly 1", degrades)
+	}
+	if programsAfter != 0 {
+		t.Fatalf("%d device programs ran after the budget was spent", programsAfter)
+	}
+	if got := reg.Counter("batch_members").Value(); got != 1 {
+		t.Fatalf("device served %d accesses, want the 1 budgeted", got)
 	}
 }
 

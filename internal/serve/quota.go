@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
+
+	"hyqsat/internal/anneal"
+	"hyqsat/internal/qpu"
 )
 
 // TenantQuota is the per-tenant resource policy.
@@ -13,23 +17,24 @@ type TenantQuota struct {
 	// running). 0 means the service default.
 	MaxConcurrent int
 	// DeviceBudget is the QA device-time budget in the bucket at full refill
-	// (and the initial balance). Each /v1/qpu/sample call charges the
-	// modelled TimingModel.AccessTime of the access. 0 means the service
-	// default.
+	// (and the initial balance). Each QA access of the tenant's jobs is
+	// charged its modelled device time: the pro-rata share of the batched
+	// program that served it. 0 means the service default.
 	DeviceBudget time.Duration
-	// DeviceRefill is the budget regained per second. 0 means the budget is
-	// a hard allowance: once spent, further QA accesses are refused
-	// permanently (403) instead of throttled (429).
+	// DeviceRefill is the budget regained per second. An access the bucket
+	// cannot cover degrades its warm-up iteration to pure CDCL. 0 means the
+	// budget is a hard allowance: once spent, the job stops QA for the rest
+	// of its solve instead of retrying it each iteration.
 	DeviceRefill time.Duration
 }
 
-// QuotaError is a typed admission refusal. Temporary refusals carry a
+// QuotaError is a typed quota refusal. Temporary refusals carry a
 // RetryAfter hint; permanent ones (hard budget spent) set Permanent, which
-// clients surface through qpu.Permanent so retry layers stop resending.
+// the solver reads through qpu.Permanent to stop submitting QA.
 type QuotaError struct {
-	Tenant     string
-	Resource   string // "device_time" | "concurrency" | "tenants"
-	RetryAfter time.Duration
+	Tenant      string
+	Resource    string // "device_time" | "concurrency" | "tenants"
+	RetryAfter  time.Duration
 	IsPermanent bool
 }
 
@@ -226,9 +231,9 @@ func (t *tenants) ChargeDevice(name string, cost time.Duration) error {
 }
 
 // RefundDevice returns unspent device time to the tenant's bucket, clamped
-// to capacity. The batching sample path pre-charges the full solo access
-// time and refunds the difference to the actual pro-rata share once the
-// batched program has run.
+// to capacity. chargedBackend pre-charges the full solo access time and
+// refunds the difference to the actual pro-rata share once the batched
+// program has run.
 func (t *tenants) RefundDevice(name string, amount time.Duration) {
 	if amount <= 0 {
 		return
@@ -255,4 +260,43 @@ func (t *tenants) Names() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// chargedBackend is one job's QA access path: the shared batching scheduler
+// behind the job's tenant's device-time bucket. Each access pre-charges the
+// full solo AccessTime(reads) — the bucket must cover the worst case before
+// the device runs — then refunds what the access did not cost once the
+// scheduler reports the pro-rata share of the program that served it. A
+// refusal is the *QuotaError itself: temporary while the bucket refills, so
+// the solver degrades that iteration, and permanent once a hard budget is
+// spent, so the solver stops QA for the job.
+type chargedBackend struct {
+	inner   qpu.CostedBackend
+	tenants *tenants
+	tenant  string
+	timing  anneal.TimingModel
+}
+
+// Name implements qpu.Backend.
+func (b *chargedBackend) Name() string { return b.inner.Name() }
+
+// Submit implements qpu.Backend.
+func (b *chargedBackend) Submit(ctx context.Context, ep *anneal.EmbeddedProblem, reads int) (anneal.ReadSet, error) {
+	rs, _, err := b.SubmitCosted(ctx, ep, reads)
+	return rs, err
+}
+
+// SubmitCosted implements qpu.CostedBackend, reporting the inner backend's
+// share so the solver and any WrapBackend decorator account the same device
+// time the tenant was charged.
+func (b *chargedBackend) SubmitCosted(ctx context.Context, ep *anneal.EmbeddedProblem, reads int) (anneal.ReadSet, time.Duration, error) {
+	cost := b.timing.AccessTime(max(reads, 1))
+	if err := b.tenants.ChargeDevice(b.tenant, cost); err != nil {
+		return anneal.ReadSet{}, 0, err
+	}
+	// On error, share is what the device ran for this access anyway (0
+	// unless the caller abandoned a batch already programmed).
+	rs, share, err := b.inner.SubmitCosted(ctx, ep, reads)
+	b.tenants.RefundDevice(b.tenant, cost-share)
+	return rs, share, err
 }

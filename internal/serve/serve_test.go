@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -174,7 +175,7 @@ func TestAdmissionQueueFull(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	var we qpu.WireErrorBody
+	var we ErrorBody
 	if err := json.Unmarshal(blob, &we); err != nil || we.Error != "queue_full" {
 		t.Fatalf("refusal body %s (err %v), want queue_full", blob, err)
 	}
@@ -207,7 +208,7 @@ func TestConcurrencyQuota(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second: %d %s, want 429", resp.StatusCode, blob)
 	}
-	var we qpu.WireErrorBody
+	var we ErrorBody
 	if json.Unmarshal(blob, &we) != nil || we.Error != "quota" {
 		t.Fatalf("refusal body %s, want quota", blob)
 	}
@@ -255,6 +256,54 @@ func TestIdempotentSubmit(t *testing.T) {
 	_ = json.Unmarshal(blob, &third)
 	if third.ID == first.ID {
 		t.Fatal("idempotency keys leaked across tenants")
+	}
+}
+
+// TestSubmitIdempotencyRace: concurrent submits under one Idempotency-Key,
+// released together, create one job and hold one concurrency slot — the
+// losers of the race get the winner's job and give their slots back.
+func TestSubmitIdempotencyRace(t *testing.T) {
+	const n = 32
+	bk := &blockingBackend{release: make(chan struct{})}
+	svc := New(Config{
+		Workers: 1, QueueDepth: n,
+		Solve: blockingOptions(bk), HaveSolveDefaults: true,
+		DefaultQuota: TenantQuota{MaxConcurrent: n},
+	})
+	defer func() {
+		close(bk.release)
+		svc.Drain(context.Background())
+	}()
+
+	req := SubmitRequest{CNF: testCNF(t, 4), Seed: 4}
+	start := make(chan struct{})
+	ids := make([]string, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			v, err := svc.Submit("racer", "same-key", req, time.Time{})
+			ids[i], errs[i] = v.ID, err
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if ids[i] != ids[0] {
+			t.Fatalf("one idempotency key made jobs %s and %s", ids[0], ids[i])
+		}
+	}
+	if got := svc.m.accepted.Value(); got != 1 {
+		t.Fatalf("serve_jobs_accepted = %d, want 1", got)
+	}
+	if inFlight, _ := tenantUsage(svc, "racer"); inFlight != 1 {
+		t.Fatalf("%d concurrency slots in use, want 1", inFlight)
 	}
 }
 
@@ -323,7 +372,7 @@ func TestDrain(t *testing.T) {
 	for {
 		resp, blob := postJob(t, srv.URL, submitBody(t, 99), nil)
 		if resp.StatusCode == http.StatusServiceUnavailable {
-			var we qpu.WireErrorBody
+			var we ErrorBody
 			if json.Unmarshal(blob, &we) != nil || we.Error != "draining" {
 				t.Fatalf("drain refusal body %s", blob)
 			}
@@ -376,105 +425,6 @@ func TestDrain(t *testing.T) {
 		if !states[id][StateCheckpointed] && !states[id][StateDone] {
 			t.Fatalf("job %s has no terminal event: %v", id, states[id])
 		}
-	}
-}
-
-// TestSampleEndpointQuota: the device-time bucket refuses with 429 +
-// Retry-After while refillable and with a permanent 403 once a hard budget
-// is spent; qpu.Remote surfaces both as typed errors.
-func TestSampleEndpointQuota(t *testing.T) {
-	svc := New(Config{Workers: 1})
-	defer svc.Drain(context.Background())
-	// team-throttled: tiny refillable budget. team-capped: hard budget.
-	access := anneal.DWave2000QTiming().AccessTime(1)
-	svc.SetQuota("team-throttled", TenantQuota{DeviceBudget: access, DeviceRefill: time.Microsecond})
-	svc.SetQuota("team-capped", TenantQuota{DeviceBudget: access, DeviceRefill: 0})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	ep := remoteProblem(t)
-	clients := map[string]*qpu.Remote{}
-	submit := func(tenant string) error {
-		remote := clients[tenant]
-		if remote == nil {
-			var err error
-			// Distinct seeds: same-seed clients generate identical
-			// idempotency keys, and a replayed key hits the response cache
-			// instead of the quota.
-			remote, err = qpu.NewRemote(qpu.RemoteConfig{
-				BaseURL: srv.URL, Tenant: tenant, Seed: int64(1 + len(clients)),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			clients[tenant] = remote
-		}
-		_, err := remote.Submit(context.Background(), ep, 1)
-		return err
-	}
-
-	if err := submit("team-throttled"); err != nil {
-		t.Fatalf("first throttled access: %v", err)
-	}
-	err := submit("team-throttled")
-	var re *qpu.RemoteError
-	if !errors.As(err, &re) || re.Status != http.StatusTooManyRequests {
-		t.Fatalf("throttled: %v, want 429 RemoteError", err)
-	}
-	if re.RetryAfter <= 0 {
-		t.Fatal("throttled refusal carries no Retry-After")
-	}
-	if qpu.Permanent(err) {
-		t.Fatal("a refillable quota refusal must not be permanent")
-	}
-
-	if err := submit("team-capped"); err != nil {
-		t.Fatalf("first capped access: %v", err)
-	}
-	err = submit("team-capped")
-	if !errors.As(err, &re) || re.Status != http.StatusForbidden {
-		t.Fatalf("capped: %v, want 403 RemoteError", err)
-	}
-	if !qpu.Permanent(err) {
-		t.Fatal("a spent hard budget must classify as permanent")
-	}
-}
-
-// TestSampleIdempotencyNoDoubleCharge: transport replays with the same key
-// replay the cached response — same bytes, one device charge.
-func TestSampleIdempotencyNoDoubleCharge(t *testing.T) {
-	svc := New(Config{Workers: 1})
-	defer svc.Drain(context.Background())
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	blob, err := json.Marshal(qpu.SampleRequest{Problem: remoteProblem(t).Wire(), Reads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bodies [][]byte
-	for i := 0; i < 3; i++ {
-		req, _ := http.NewRequest("POST", srv.URL+qpu.SamplePath, bytes.NewReader(blob))
-		req.Header.Set(qpu.HeaderIdempotency, "same-key")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("attempt %d: %d %s", i, resp.StatusCode, b)
-		}
-		bodies = append(bodies, b)
-	}
-	if !bytes.Equal(bodies[0], bodies[1]) || !bytes.Equal(bodies[1], bodies[2]) {
-		t.Fatal("replayed responses differ")
-	}
-	if got := svc.m.qpuSamples.Value(); got != 1 {
-		t.Fatalf("device sampled %d times for one idempotency key", got)
-	}
-	if got := svc.m.qpuReplays.Value(); got != 2 {
-		t.Fatalf("replays = %d, want 2", got)
 	}
 }
 

@@ -1,13 +1,15 @@
 // Package serve is the hyqsatd service layer: an HTTP/JSON facade over the
 // hybrid solver engineered for failure first. Every request passes admission
 // control before touching a solver — a bounded job queue that rejects with
-// Retry-After instead of buffering without bound, per-tenant token-bucket
-// quotas on modelled QA device time and concurrent jobs, and idempotency
-// keys so client retries never double-submit. Deadlines propagate from the
-// X-Hyqsat-Deadline-Ms header into the solve context, SIGTERM drains
-// gracefully (stop accepting, finish or checkpoint in-flight jobs, flush
-// traces), and the /v1/qpu/sample endpoint serves qpu.Remote clients from a
-// deterministic server-side sampler under the same quota regime.
+// Retry-After instead of buffering without bound, a per-tenant cap on
+// concurrent jobs, and idempotency keys so client retries never
+// double-submit. Each job's QA accesses go through one batching scheduler
+// shared by all jobs and are charged to the tenant's token bucket of
+// modelled device time: a throttled access degrades that warm-up iteration
+// to pure CDCL, and a spent hard budget stops QA for the rest of the job.
+// Deadlines propagate from the X-Hyqsat-Deadline-Ms header into the solve
+// context, and SIGTERM drains gracefully (stop accepting, finish or
+// checkpoint in-flight jobs, flush traces).
 package serve
 
 import (
@@ -59,14 +61,11 @@ type Config struct {
 	MaxJobs int
 	// MaxBody bounds request bodies in bytes (default 8 MiB).
 	MaxBody int64
-	// SampleSeed seeds the /v1/qpu/sample sampler (default 1).
-	SampleSeed int64
-	// BatchWindow is the QPU batching window: concurrent sample requests and
-	// job-solve QA accesses arriving within it are co-tiled onto one device
-	// program, each charged a pro-rata share of the one program's access
-	// time. 0 selects qbatch.DefaultWindow; negative disables batching (one
-	// program per request — the baseline the throughput bench compares
-	// against).
+	// BatchWindow is the QPU batching window: concurrent QA accesses of
+	// running jobs arriving within it are co-tiled onto one device program,
+	// each charged a pro-rata share of the one program's access time. 0
+	// selects qbatch.DefaultWindow; negative disables batching (one program
+	// per access — the baseline the throughput bench compares against).
 	BatchWindow time.Duration
 	// BatchMaxMembers caps how many requests share one device program
 	// (default qbatch.DefaultMaxMembers).
@@ -125,9 +124,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBody == 0 {
 		c.MaxBody = 8 << 20
 	}
-	if c.SampleSeed == 0 {
-		c.SampleSeed = 1
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -138,7 +134,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Service is the solve service: admission control in front of a bounded
-// queue in front of a worker pool, plus the remote QPU sampling endpoint.
+// queue in front of a worker pool whose solves share one batching QPU
+// scheduler.
 type Service struct {
 	cfg     Config
 	reg     *obs.Registry
@@ -157,12 +154,9 @@ type Service struct {
 	hardDrain atomic.Bool   // set past the grace period: jobs checkpoint instead of solving
 	wg        sync.WaitGroup
 
-	sampler *anneal.Sampler // serves /v1/qpu/sample; safe for concurrent use
-	samples *idemCache      // response replay cache for the sample endpoint
-
-	// batcher is the shared QPU access path: the sample endpoint and the job
-	// workers' hybrid solves all submit through it, so concurrent requests
-	// from either side co-tile onto one device program.
+	// batcher is the shared QPU access path: every job's hybrid solve
+	// submits through it (behind its tenant's chargedBackend), so concurrent
+	// accesses co-tile onto one device program.
 	batcher *qbatch.Scheduler
 	// satPool recycles CDCL solver state across jobs on the worker hot path.
 	satPool *sat.Pool
@@ -171,16 +165,12 @@ type Service struct {
 }
 
 type serviceMetrics struct {
-	accepted      *obs.Counter
-	rejected      *obs.Counter
-	done          *obs.Counter
-	failed        *obs.Counter
-	checkpointed  *obs.Counter
-	queueDepth    *obs.Gauge
-	qpuSamples    *obs.Counter
-	qpuRejected   *obs.Counter
-	qpuReplays    *obs.Counter
-	deviceBusyNs  *obs.Counter
+	accepted     *obs.Counter
+	rejected     *obs.Counter
+	done         *obs.Counter
+	failed       *obs.Counter
+	checkpointed *obs.Counter
+	queueDepth   *obs.Gauge
 }
 
 // New creates the service and starts its workers.
@@ -199,8 +189,6 @@ func New(cfg Config) *Service {
 		jobs:    make(map[string]*job),
 		idem:    make(map[string]string),
 		drainCh: make(chan struct{}),
-		sampler: anneal.NewSampler(solveSchedule(cfg.Solve), cfg.Solve.Noise, cfg.SampleSeed),
-		samples: newIdemCache(4096),
 		m: serviceMetrics{
 			accepted:     reg.Counter("serve_jobs_accepted"),
 			rejected:     reg.Counter("serve_jobs_rejected"),
@@ -208,14 +196,11 @@ func New(cfg Config) *Service {
 			failed:       reg.Counter("serve_jobs_failed"),
 			checkpointed: reg.Counter("serve_jobs_checkpointed"),
 			queueDepth:   reg.Gauge("serve_queue_depth"),
-			qpuSamples:   reg.Counter("serve_qpu_samples"),
-			qpuRejected:  reg.Counter("serve_qpu_rejected"),
-			qpuReplays:   reg.Counter("serve_qpu_replays"),
-			deviceBusyNs: reg.Counter("serve_qpu_device_ns"),
 		},
 	}
 	s.satPool = sat.NewPool()
-	s.batcher = qbatch.New(s.sampler, cfg.Solve.Hardware, qbatch.Config{
+	sampler := anneal.NewSampler(solveSchedule(cfg.Solve), cfg.Solve.Noise, 1)
+	s.batcher = qbatch.New(sampler, cfg.Solve.Hardware, qbatch.Config{
 		Window:     cfg.BatchWindow,
 		MaxMembers: cfg.BatchMaxMembers,
 		Timing:     cfg.Solve.Timing,
@@ -230,7 +215,7 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// solveSchedule mirrors the solver's own defaulting so the sample endpoint
+// solveSchedule mirrors the solver's own defaulting so the shared sampler
 // emulates the same device the config describes. Noise needs no defaulting:
 // the zero value IS anneal.NoNoise, exactly as the solver treats it.
 func solveSchedule(o hyqsat.Options) anneal.Schedule {
@@ -240,12 +225,14 @@ func solveSchedule(o hyqsat.Options) anneal.Schedule {
 	return o.Schedule
 }
 
-// timing returns the modelled device timing used for quota charging.
-func (s *Service) timing() anneal.TimingModel {
-	if s.cfg.Solve.Timing != (anneal.TimingModel{}) {
-		return s.cfg.Solve.Timing
+// jobBackend returns the QA access path of one job of tenant: the shared
+// scheduler, charged to the tenant's device-time bucket.
+func (s *Service) jobBackend(tenant string) *chargedBackend {
+	timing := s.cfg.Solve.Timing
+	if timing == (anneal.TimingModel{}) {
+		timing = anneal.DWave2000QTiming()
 	}
-	return anneal.DWave2000QTiming()
+	return &chargedBackend{inner: s.batcher, tenants: s.tenants, tenant: tenant, timing: timing}
 }
 
 // Metrics returns the service's registry (for /metrics exposure).
@@ -275,16 +262,9 @@ func (s *Service) Submit(tenant, idemKey string, req SubmitRequest, deadline tim
 		s.mu.Unlock()
 		return JobView{}, &AdmissionError{Status: 503, Tag: "draining", RetryAfter: s.cfg.DrainGrace}
 	}
-	if idemKey != "" {
-		if id, ok := s.idem[tenant+"\x00"+idemKey]; ok {
-			j := s.jobs[id]
-			s.mu.Unlock()
-			if j != nil {
-				return j.view(), nil
-			}
-			return JobView{}, &AdmissionError{Status: 409, Tag: "idempotency_evicted",
-				Detail: "the original job aged out; use a fresh key"}
-		}
+	if view, ok, err := s.replayLocked(tenant, idemKey); ok {
+		s.mu.Unlock()
+		return view, err
 	}
 	s.mu.Unlock()
 
@@ -293,7 +273,9 @@ func (s *Service) Submit(tenant, idemKey string, req SubmitRequest, deadline tim
 		var qe *QuotaError
 		if errors.As(err, &qe) {
 			s.emitJob("", tenant, "rejected", "", qe.Resource, 0, 0)
-			return JobView{}, admissionFromQuota(qe)
+			// Admission quotas (concurrency, tenant registry) are always
+			// temporary: a finishing job frees its slot.
+			return JobView{}, &AdmissionError{Status: 429, Tag: "quota", Detail: qe.Error(), RetryAfter: qe.RetryAfter}
 		}
 		return JobView{}, &AdmissionError{Status: 500, Tag: "internal", Detail: err.Error()}
 	}
@@ -304,6 +286,14 @@ func (s *Service) Submit(tenant, idemKey string, req SubmitRequest, deadline tim
 		s.mu.Unlock()
 		s.tenants.FinishJob(tenant)
 		return JobView{}, &AdmissionError{Status: 503, Tag: "draining", RetryAfter: s.cfg.DrainGrace}
+	}
+	if view, ok, err := s.replayLocked(tenant, idemKey); ok {
+		// A concurrent submit under the same key created the job while this
+		// one was being admitted: answer with that job and give the slot
+		// back, so the key still solves once.
+		s.mu.Unlock()
+		s.tenants.FinishJob(tenant)
+		return view, err
 	}
 	s.seq++
 	j := &job{
@@ -338,6 +328,24 @@ func (s *Service) Submit(tenant, idemKey string, req SubmitRequest, deadline tim
 	s.m.accepted.Inc()
 	s.emitJob(j.id, tenant, "accepted", "", "", 0, 0)
 	return j.view(), nil
+}
+
+// replayLocked looks up the job an earlier submit under the same tenant and
+// idempotency key created. ok is false when there is no key or it is new;
+// err is set when the key's job has aged out. The caller must hold s.mu.
+func (s *Service) replayLocked(tenant, idemKey string) (view JobView, ok bool, err error) {
+	if idemKey == "" {
+		return JobView{}, false, nil
+	}
+	id, ok := s.idem[tenant+"\x00"+idemKey]
+	if !ok {
+		return JobView{}, false, nil
+	}
+	if j := s.jobs[id]; j != nil {
+		return j.view(), true, nil
+	}
+	return JobView{}, true, &AdmissionError{Status: 409, Tag: "idempotency_evicted",
+		Detail: "the original job aged out; use a fresh key"}
 }
 
 // Job returns the view of a job by id.
@@ -431,11 +439,13 @@ func (s *Service) run(j *job) {
 	opts.Trace = s.trace
 	opts.SolveID = j.id
 	// Jobs share the service's batching QPU scheduler — their QA accesses
-	// co-tile with each other and with /v1/qpu/sample traffic — and draw
-	// their CDCL core from the solver pool. QA guidance only steers
-	// heuristics, so sharing the device never affects verdict correctness.
+	// co-tile with each other — charged to the job's tenant, and draw their
+	// CDCL core from the solver pool. QA guidance only steers heuristics, so
+	// neither sharing the device nor running out of device time affects
+	// verdict correctness. A configured Solve.Backend replaces the device,
+	// scheduler and charge alike.
 	if opts.Backend == nil {
-		opts.Backend = s.batcher
+		opts.Backend = s.jobBackend(j.tenant)
 	}
 	opts.SatPool = s.satPool
 	solver := hyqsat.New(j.formula, opts)
@@ -561,7 +571,6 @@ type AdmissionError struct {
 	Tag        string // stable machine tag: "queue_full", "quota", "draining", ...
 	Detail     string
 	RetryAfter time.Duration
-	IsPermanent bool
 }
 
 func (e *AdmissionError) Error() string {
@@ -569,22 +578,6 @@ func (e *AdmissionError) Error() string {
 		return e.Tag + ": " + e.Detail
 	}
 	return e.Tag
-}
-
-// Permanent implements the shared classification interface.
-func (e *AdmissionError) Permanent() bool { return e.IsPermanent }
-
-func admissionFromQuota(qe *QuotaError) *AdmissionError {
-	ae := &AdmissionError{Tag: "quota", Detail: qe.Error(), RetryAfter: qe.RetryAfter}
-	if qe.Permanent() {
-		ae.Status, ae.IsPermanent = 403, true
-	} else {
-		ae.Status = 429
-		if ae.RetryAfter == 0 {
-			ae.RetryAfter = time.Second
-		}
-	}
-	return ae
 }
 
 // retryAfterSeconds rounds a Retry-After hint up to whole seconds as the
