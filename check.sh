@@ -95,6 +95,10 @@ rm -rf "$wiredir"
 # no-op tracer installed, and stays within 1% ns/op of the untraced kernel
 # (in-process interleaved benchmark; opt-in via the env var).
 go test -run='TestSampleIntoZeroAllocsWithNopTracer|TestSampleOnceSteadyStateAllocs' -count=1 ./internal/anneal .
+# Frontend gates: one encode → Fast → restrict → adjust → normalise →
+# EmbedIsing pass on a fixed uf150 queue stays under its allocation bound,
+# and its output is bit-identical to the recorded frontend golden.
+go test -run='TestFrontendPassAllocs|TestFrontendGolden' -count=1 ./internal/hyqsat
 HYQSAT_PERF_GATE=1 go test -run=TestNopTracerKernelOverhead -count=1 -v ./internal/anneal
 # Trace round-trip smoke: record a real solve with -trace, then replay the
 # JSONL through the obs reader (exercised end-to-end by the CLI test).

@@ -23,7 +23,6 @@ package anneal
 
 import (
 	"math"
-	"sort"
 
 	"hyqsat/internal/embed"
 	"hyqsat/internal/qubo"
@@ -72,12 +71,10 @@ type EmbeddedProblem struct {
 	Graph     topo.Topology
 	Embedding *embed.Embedding
 
-	Qubits  []int         // the active qubits, in a fixed order
-	qubitIx map[int]int   // qubit id → index into Qubits
-	H       []float64     // field per active qubit (indexed as Qubits)
-	nodeOf  []int         // active-qubit index → logical node
-	chains  map[int][]int // logical node → active-qubit indices
-	offset  float64       // constant term of the logical Ising model
+	Qubits []int     // the active qubits, in a fixed order
+	H      []float64 // field per active qubit (indexed as Qubits)
+	nodeOf []int     // active-qubit index → logical node
+	offset float64   // constant term of the logical Ising model
 
 	// Flattened structures precomputed once so the sweep kernel neither
 	// allocates nor sorts: CSR adjacency with a symmetric-pair index for the
@@ -98,9 +95,11 @@ type EmbeddedProblem struct {
 	chainQubits int // total qubits held in chains
 }
 
-type coupling struct {
-	other int // active-qubit index
-	j     float64
+// coupler is one programmed coupler between two active qubits, in the
+// order EmbedIsing adds them.
+type coupler struct {
+	a, b int32 // active-qubit indices
+	j    float64
 }
 
 // ChainStrengthFor returns a reasonable ferromagnetic chain coupling for a
@@ -132,66 +131,60 @@ func ChainStrengthFor(is *qubo.Ising) float64 {
 // coupling is split across the couplers available between the two chains,
 // and chain qubits are bound with a ferromagnetic coupling of the given
 // strength. Logical nodes must be present in the embedding; couplings whose
-// endpoints both embedded must be realised by at least one coupler.
+// endpoints both embedded must be realised by at least one coupler. Qubits
+// are looked up through slices over the hardware's qubit count, which live
+// only for the call.
 func EmbedIsing(is *qubo.Ising, emb *embed.Embedding, g topo.Topology, chainStrength float64) *EmbeddedProblem {
 	ep := &EmbeddedProblem{
 		Graph:     g,
 		Embedding: emb,
-		qubitIx:   map[int]int{},
-		chains:    map[int][]int{},
 		offset:    is.Offset,
 	}
-	nodes := make([]int, 0, len(emb.Chains))
-	for node := range emb.Chains {
-		nodes = append(nodes, node)
-	}
-	sort.Ints(nodes)
+	nodes := emb.Nodes()
+	total := emb.QubitsUsed()
+	// qubitIx[q] is 1 + the active index of qubit q, 0 when inactive.
+	qubitIx := make([]int32, g.NumQubits())
+	ep.Qubits = make([]int, 0, total)
+	ep.nodeOf = make([]int, 0, total)
 	for _, node := range nodes {
 		for _, q := range emb.Chains[node] {
-			if _, ok := ep.qubitIx[q]; !ok {
-				ep.qubitIx[q] = len(ep.Qubits)
+			if qubitIx[q] == 0 {
 				ep.Qubits = append(ep.Qubits, q)
 				ep.nodeOf = append(ep.nodeOf, node)
+				qubitIx[q] = int32(len(ep.Qubits))
 			}
 		}
 	}
-	n := len(ep.Qubits)
-	ep.H = make([]float64, n)
-	adj := make([][]coupling, n)
-	addCoupler := func(qa, qb int, j float64) {
-		a, b := ep.qubitIx[qa], ep.qubitIx[qb]
-		adj[a] = append(adj[a], coupling{b, j})
-		adj[b] = append(adj[b], coupling{a, j})
-	}
-	for _, node := range nodes {
-		chain := emb.Chains[node]
-		ix := make([]int, len(chain))
-		for i, q := range chain {
-			ix[i] = ep.qubitIx[q]
+	ep.H = make([]float64, len(ep.Qubits))
+	owner := emb.ChainOwners(g.NumQubits())
+	var couplers []coupler
+	var edges []topo.Edge
+	add := func(edges []topo.Edge, j float64) {
+		for _, c := range edges {
+			couplers = append(couplers, coupler{qubitIx[c.A] - 1, qubitIx[c.B] - 1, j})
 		}
-		ep.chains[node] = ix
+	}
+	ep.chainNodes = nodes
+	ep.chainIx = make([][]int, len(nodes))
+	ix := make([]int, 0, total)
+	for ci, node := range nodes {
+		chain := emb.Chains[node]
+		lo := len(ix)
+		for _, q := range chain {
+			ix = append(ix, int(qubitIx[q]-1))
+		}
+		ep.chainIx[ci] = ix[lo:len(ix):len(ix)]
 		if h, ok := is.H[node]; ok && len(chain) > 0 {
 			per := h / float64(len(chain))
-			for _, i := range ix {
+			for _, i := range ep.chainIx[ci] {
 				ep.H[i] += per
 			}
 		}
 		// Ferromagnetic chain couplers.
-		for _, c := range embed.IntraChainCouplers(g, chain) {
-			addCoupler(c.A, c.B, -chainStrength)
-		}
+		edges = embed.IntraChainCouplers(edges[:0], g, owner, chain, node)
+		add(edges, -chainStrength)
 	}
-	jEdges := make([]qubo.Edge, 0, len(is.J))
-	for e := range is.J {
-		jEdges = append(jEdges, e)
-	}
-	sort.Slice(jEdges, func(i, k int) bool {
-		if jEdges[i].U != jEdges[k].U {
-			return jEdges[i].U < jEdges[k].U
-		}
-		return jEdges[i].V < jEdges[k].V
-	})
-	for _, e := range jEdges {
+	for _, e := range qubo.SortedEdges(is.J) {
 		j := is.J[e]
 		if _, ok := emb.Chains[e.U]; !ok {
 			continue
@@ -199,56 +192,69 @@ func EmbedIsing(is *qubo.Ising, emb *embed.Embedding, g topo.Topology, chainStre
 		if _, ok := emb.Chains[e.V]; !ok {
 			continue
 		}
-		couplers := embed.InterChainCouplers(g, emb, e.U, e.V)
-		if len(couplers) == 0 {
+		edges = embed.InterChainCouplers(edges[:0], g, owner, emb.Chains[e.U], e.V)
+		if len(edges) == 0 {
 			panic("anneal: logical coupling with no hardware coupler; embedding invalid")
 		}
-		per := j / float64(len(couplers))
-		for _, c := range couplers {
-			addCoupler(c.A, c.B, per)
-		}
+		add(edges, j/float64(len(edges)))
 	}
-	ep.finalize(adj)
+	ep.finalize(couplers)
 	return ep
 }
 
-// finalize flattens the build-time adjacency into the read-only CSR form the
-// sweep kernel runs on, assigns every unordered qubit pair a stable id (so
-// programming noise perturbs both directions of a coupler identically), and
-// precomputes the chain lists and the coefficient scale that SampleOnce used
-// to rescan on every call.
-func (ep *EmbeddedProblem) finalize(adj [][]coupling) {
+// finalize lays the couplers out in the read-only CSR form the sweep kernel
+// runs on (each row lists its couplers in the order they were added),
+// assigns every unordered qubit pair a stable id (so programming noise
+// perturbs both directions of a coupler identically; ids count up in order
+// of each pair's first entry, scanning rows in order), and precomputes the
+// chain shape and the coefficient scale that SampleOnce used to rescan on
+// every call.
+func (ep *EmbeddedProblem) finalize(couplers []coupler) {
 	n := len(ep.Qubits)
-	total := 0
-	for i := range adj {
-		total += len(adj[i])
-	}
+	total := 2 * len(couplers)
 	ep.adjStart = make([]int32, n+1)
 	ep.adjOther = make([]int32, total)
 	ep.adjJ = make([]float64, total)
 	ep.adjPair = make([]int32, total)
-	pairOf := make(map[[2]int]int32, total/2)
-	k := 0
+	for _, c := range couplers {
+		ep.adjStart[c.a+1]++
+		ep.adjStart[c.b+1]++
+	}
 	for i := 0; i < n; i++ {
-		ep.adjStart[i] = int32(k)
-		for _, c := range adj[i] {
-			key := [2]int{i, c.other}
-			if key[0] > key[1] {
-				key[0], key[1] = key[1], key[0]
+		ep.adjStart[i+1] += ep.adjStart[i]
+	}
+	next := make([]int32, n)
+	copy(next, ep.adjStart[:n])
+	put := func(row, other int32, j float64) {
+		k := next[row]
+		next[row]++
+		ep.adjOther[k] = other
+		ep.adjJ[k] = j
+	}
+	for _, c := range couplers {
+		put(c.a, c.b, c.j)
+		put(c.b, c.a, c.j)
+	}
+	// A pair {i,o} with o < i met its id in row o; o > i is new unless an
+	// earlier entry of row i already names o.
+	numPairs := int32(0)
+	for i := int32(0); i < int32(n); i++ {
+		for k := ep.adjStart[i]; k < ep.adjStart[i+1]; k++ {
+			o := ep.adjOther[k]
+			ep.adjPair[k] = -1
+			if o < i {
+				ep.adjPair[k] = ep.pairIn(o, i)
+				continue
 			}
-			id, ok := pairOf[key]
-			if !ok {
-				id = int32(len(pairOf))
-				pairOf[key] = id
+			if prev := ep.pairInUpTo(i, o, k); prev >= 0 {
+				ep.adjPair[k] = prev
+				continue
 			}
-			ep.adjOther[k] = int32(c.other)
-			ep.adjJ[k] = c.j
-			ep.adjPair[k] = id
-			k++
+			ep.adjPair[k] = numPairs
+			numPairs++
 		}
 	}
-	ep.adjStart[n] = int32(k)
-	ep.numPairs = len(pairOf)
+	ep.numPairs = int(numPairs)
 
 	ep.maxAbs = 0
 	for _, v := range ep.H {
@@ -262,20 +268,29 @@ func (ep *EmbeddedProblem) finalize(adj [][]coupling) {
 		}
 	}
 
-	ep.chainNodes = make([]int, 0, len(ep.chains))
-	for node := range ep.chains {
-		ep.chainNodes = append(ep.chainNodes, node)
-	}
-	sort.Ints(ep.chainNodes)
-	ep.chainIx = make([][]int, len(ep.chainNodes))
 	ep.maxChainLen, ep.chainQubits = 0, 0
-	for i, node := range ep.chainNodes {
-		ep.chainIx[i] = ep.chains[node]
-		ep.chainQubits += len(ep.chainIx[i])
-		if len(ep.chainIx[i]) > ep.maxChainLen {
-			ep.maxChainLen = len(ep.chainIx[i])
+	for _, ix := range ep.chainIx {
+		ep.chainQubits += len(ix)
+		if len(ix) > ep.maxChainLen {
+			ep.maxChainLen = len(ix)
 		}
 	}
+}
+
+// pairIn returns the pair id of row's first entry naming other.
+func (ep *EmbeddedProblem) pairIn(row, other int32) int32 {
+	return ep.pairInUpTo(row, other, ep.adjStart[row+1])
+}
+
+// pairInUpTo returns the pair id of the first entry of row before end that
+// names other, or −1.
+func (ep *EmbeddedProblem) pairInUpTo(row, other, end int32) int32 {
+	for k := ep.adjStart[row]; k < end; k++ {
+		if ep.adjOther[k] == other {
+			return ep.adjPair[k]
+		}
+	}
+	return -1
 }
 
 // NumActiveQubits returns the number of qubits carrying the problem.

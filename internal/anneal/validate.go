@@ -3,6 +3,7 @@ package anneal
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ReadSetError reports a malformed ReadSet at the sampler/solver boundary:
@@ -66,7 +67,7 @@ func ValidateReadSet(ep *EmbeddedProblem, rs *ReadSet, wantReads int) error {
 				Detail: fmt.Sprintf("readout covers %d chains, embedding has %d", len(s.NodeValues), chains)}
 		}
 		for node := range s.NodeValues {
-			if _, ok := ep.chains[node]; !ok {
+			if _, ok := slices.BinarySearch(ep.chainNodes, node); !ok {
 				return &ReadSetError{Reason: "unknown_node", Read: i,
 					Detail: fmt.Sprintf("readout names logical node %d, which the embedding does not carry", node)}
 			}

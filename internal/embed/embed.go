@@ -45,6 +45,26 @@ type Embedding struct {
 // NewEmbedding returns an empty embedding.
 func NewEmbedding() *Embedding { return &Embedding{Chains: map[int][]int{}} }
 
+// Nodes returns the embedded nodes in ascending order. Node indices are
+// non-negative, so a presence table orders them without sorting.
+func (e *Embedding) Nodes() []int {
+	bound := 0
+	for node := range e.Chains {
+		bound = max(bound, node+1)
+	}
+	present := make([]bool, bound)
+	for node := range e.Chains {
+		present[node] = true
+	}
+	nodes := make([]int, 0, len(e.Chains))
+	for node, ok := range present {
+		if ok {
+			nodes = append(nodes, node)
+		}
+	}
+	return nodes
+}
+
 // QubitsUsed returns the total number of qubits over all chains.
 func (e *Embedding) QubitsUsed() int {
 	n := 0
@@ -154,43 +174,52 @@ func chainsCoupled(g topo.Topology, a, b []int) bool {
 	return false
 }
 
-// InterChainCouplers returns every hardware coupler connecting the chains of
-// nodes u and v — the couplers across which the sampler distributes the
-// logical J weight.
-func InterChainCouplers(g topo.Topology, e *Embedding, u, v int) []topo.Edge {
-	var out []topo.Edge
-	inV := map[int]bool{}
-	for _, q := range e.Chains[v] {
-		inV[q] = true
+// ChainOwners returns the qubit-indexed chain membership of e on a graph of
+// numQubits qubits: owner[q] is the node whose chain holds qubit q, or −1.
+// The chains of a valid embedding are disjoint, so each qubit has at most
+// one owner.
+func (e *Embedding) ChainOwners(numQubits int) []int {
+	owner := make([]int, numQubits)
+	for q := range owner {
+		owner[q] = -1
 	}
-	for _, q := range e.Chains[u] {
+	for node, chain := range e.Chains {
+		for _, q := range chain {
+			owner[q] = node
+		}
+	}
+	return owner
+}
+
+// InterChainCouplers appends to dst every hardware coupler joining chainU
+// (the chain of some node u) to the chain of node v, with owner from
+// ChainOwners — the couplers across which the sampler distributes the
+// logical J weight.
+func InterChainCouplers(dst []topo.Edge, g topo.Topology, owner []int, chainU []int, v int) []topo.Edge {
+	for _, q := range chainU {
 		for _, n := range g.Neighbors(q) {
-			if inV[n] {
+			if owner[n] == v {
 				a, b := q, n
 				if a > b {
 					a, b = b, a
 				}
-				out = append(out, topo.Edge{A: a, B: b})
+				dst = append(dst, topo.Edge{A: a, B: b})
 			}
 		}
 	}
-	return out
+	return dst
 }
 
-// IntraChainCouplers returns the hardware couplers joining qubits within one
-// chain — the couplers that receive the ferromagnetic chain coupling.
-func IntraChainCouplers(g topo.Topology, chain []int) []topo.Edge {
-	in := map[int]bool{}
-	for _, q := range chain {
-		in[q] = true
-	}
-	var out []topo.Edge
+// IntraChainCouplers appends to dst the hardware couplers joining qubits
+// within the chain of node, with owner from ChainOwners — the couplers that
+// receive the ferromagnetic chain coupling.
+func IntraChainCouplers(dst []topo.Edge, g topo.Topology, owner []int, chain []int, node int) []topo.Edge {
 	for _, q := range chain {
 		for _, n := range g.Neighbors(q) {
-			if in[n] && q < n {
-				out = append(out, topo.Edge{A: q, B: n})
+			if q < n && owner[n] == node {
+				dst = append(dst, topo.Edge{A: q, B: n})
 			}
 		}
 	}
-	return out
+	return dst
 }

@@ -2,6 +2,8 @@ package embed
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -138,12 +140,13 @@ func TestFastPrefixEdgesAllRealized(t *testing.T) {
 	for _, k := range res.EmbeddedSet {
 		inSet[k] = true
 	}
+	owner := res.Embedding.ChainOwners(g.NumQubits())
 	for i := range enc.Sub {
 		if !inSet[enc.Sub[i].Clause] {
 			continue
 		}
 		for e := range enc.Sub[i].Poly.Quad {
-			if len(InterChainCouplers(g, res.Embedding, e.U, e.V)) == 0 {
+			if len(InterChainCouplers(nil, g, owner, res.Embedding.Chains[e.U], e.V)) == 0 {
 				t.Fatalf("edge %v of embedded clause %d not realised", e, enc.Sub[i].Clause)
 			}
 		}
@@ -177,21 +180,6 @@ func TestFastCapacityGrowsWithGrid(t *testing.T) {
 				res.EmbeddedClauses, m, m, prev)
 		}
 		prev = res.EmbeddedClauses
-	}
-}
-
-func TestFastEmbedderInterface(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	clauses := random3SATClauses(rng, 30, 20)
-	res, err := FastEmbedder{}.EmbedClauses(clauses, topo.DWave2000Q())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EmbeddedClauses != 20 {
-		t.Fatalf("embedded %d/20 on an empty 2000Q", res.EmbeddedClauses)
-	}
-	if (FastEmbedder{}).Name() == "" {
-		t.Fatal("empty name")
 	}
 }
 
@@ -385,7 +373,9 @@ func TestIntraChainCouplers(t *testing.T) {
 	g := topo.NewChimera(2, 2, 4)
 	// A vertical line chain of two rows: one coupler between them.
 	chain := []int{g.VerticalLineQubit(0, 0), g.VerticalLineQubit(0, 1)}
-	cs := IntraChainCouplers(g, chain)
+	e := NewEmbedding()
+	e.Chains[7] = chain
+	cs := IntraChainCouplers(nil, g, e.ChainOwners(g.NumQubits()), chain, 7)
 	if len(cs) != 1 {
 		t.Fatalf("couplers = %v", cs)
 	}
@@ -417,6 +407,42 @@ func TestFastAlwaysProducesValidEmbeddings(t *testing.T) {
 		sub := enc.Restrict(res.EmbeddedSet)
 		if err := Verify(ProblemFromEncoding(sub), g, res.Embedding); err != nil {
 			t.Fatalf("trial %d (nv=%d m=%d grid=%d): %v", trial, nv, m, g.M, err)
+		}
+	}
+}
+
+// TestHLineOrderMatchesSortedOrder checks Fast's precomputed horizontal-line
+// scan order against sorting the lines by the distance of their row from
+// the preferred row, then by index, for every preferred row on and around
+// several grids.
+func TestHLineOrderMatchesSortedOrder(t *testing.T) {
+	enc, err := qubo.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*topo.Chimera{topo.DWave2000Q(), topo.NewChimera(5, 3, 2), topo.NewChimera(1, 2, 4)} {
+		st := newFastState(enc, g)
+		for p := -2; p < g.M+2; p++ {
+			want := make([]int, g.NumHorizontalLines())
+			for i := range want {
+				want[i] = i
+			}
+			dist := func(h int) int {
+				d := st.rowOfHLine(h) - p
+				if d < 0 {
+					d = -d
+				}
+				return d
+			}
+			sort.SliceStable(want, func(i, j int) bool {
+				if di, dj := dist(want[i]), dist(want[j]); di != dj {
+					return di < dj
+				}
+				return want[i] < want[j]
+			})
+			if got := st.hLineOrder(p); !slices.Equal(got, want) {
+				t.Fatalf("%d×%d×%d, row %d:\n got %v\nwant %v", g.M, g.N, g.L, p, got, want)
+			}
 		}
 	}
 }

@@ -1,27 +1,30 @@
 package embed
 
 import (
-	"sort"
+	"slices"
 
-	"hyqsat/internal/cnf"
 	"hyqsat/internal/qubo"
 	"hyqsat/internal/topo"
 )
 
 // FastResult is the outcome of the paper's fast embedding: a valid embedding
 // of EmbeddedSet (clause indices into the queue, ascending). Clauses that
-// did not fit were skipped; embedding stops after several consecutive
-// failures (the hardware is then effectively full).
+// did not fit were skipped; embedding stops once 256 clauses have failed in
+// total (the count is never reset by a later success), at which point the
+// hardware is effectively full.
 type FastResult struct {
 	Embedding       *Embedding
 	EmbeddedClauses int   // len(EmbeddedSet)
 	EmbeddedSet     []int // indices of embedded clauses within the queue
-	// EmbeddedNodes are the problem-graph nodes present in the embedding.
-	EmbeddedNodes map[int]bool
 }
+
+// maxFastFailures is the number of failed clauses after which Fast stops.
+const maxFastFailures = 256
 
 // span is a contiguous row interval on a vertical line; empty when Min > Max.
 type span struct{ Min, Max int }
+
+var emptySpan = span{1, 0}
 
 func (s span) empty() bool { return s.Min > s.Max }
 
@@ -46,42 +49,104 @@ func (s span) overlaps(t span) bool {
 // horizontal line Line.
 type seg struct{ Line, C1, C2 int }
 
+// undoOp names the kind of mutation an undo record reverts.
+type undoOp uint8
+
+const (
+	undoLine      undoOp = iota // node a took a slot on its vertical line (b=1: a fresh line)
+	undoSpan                    // node a's row span was sp
+	undoCol                     // column b of horizontal line a was taken
+	undoRealize                 // problem edge {a,b} was realised once more
+	undoSegAppend               // node a gained its last segment
+	undoSegSet                  // node a's segment b was sg
+)
+
+// undo is one journalled mutation of the clause being added.
+type undo struct {
+	op   undoOp
+	a, b int
+	sp   span
+	sg   seg
+}
+
 // fastState carries the incremental embedding state of the paper's two-step
 // scheme (§IV-B): vertical-line allocation in clause-queue order, and greedy
 // bottom-up horizontal segment allocation against connection requirements.
+// Per-node state lives in slices indexed by node (nodes are dense,
+// 0..NumNodes-1), and nothing outlives the Fast call.
 type fastState struct {
 	g   *topo.Chimera
 	enc *qubo.Encoding
 
 	maxVarsPerLine int
-	lineVars       [][]int      // vertical line → nodes allocated to it
-	varLine        map[int]int  // logical node → vertical line
-	varSpan        map[int]span // logical node → row span on its line
-	nextLine       int          // next never-used vertical line
+	lineVars       [][]int // vertical line → nodes allocated to it
+	varLine        []int   // node → vertical line, or −1
+	varSpan        []span  // node → row span on its line
+	nextLine       int     // next never-used vertical line
 
-	hUsed    [][]bool          // horizontal line → per-cell-column used flag
+	hUsed    []bool            // horizontal line h, column c → used, at h·N+c
 	colUsage []int             // per cell column: used horizontal qubits
-	segs     map[int][]seg     // node → horizontal segments
+	segs     [][]seg           // node → horizontal segments
 	realized map[qubo.Edge]int // problem edge → count of realisations
 
-	// journal records undo actions for the clause currently being added, so
+	// subStart[k] is the first of clause k's sub-clauses in enc.Sub, which
+	// lists them grouped by clause in clause order.
+	subStart []int
+	// lineOrder[p·H:(p+1)·H] lists the H horizontal lines by the distance
+	// of their row from row p, then ascending: the scan order for a
+	// preferred row p, computed once per run.
+	lineOrder []int
+
+	// journal records the mutations of the clause currently being added, so
 	// a clause that fails mid-way leaves no allocations behind.
-	journal []func()
+	journal []undo
+
+	// Scratch reused across clauses.
+	logicalBuf []int
+	edgeBuf    []qubo.Edge
+	saved      []nodeSpan
 }
 
-// note records an undo action for the current clause.
-func (st *fastState) note(undo func()) { st.journal = append(st.journal, undo) }
+type nodeSpan struct {
+	node int
+	sp   span
+}
+
+// note records an undo record for the current clause.
+func (st *fastState) note(u undo) { st.journal = append(st.journal, u) }
 
 // rollback undoes every mutation since the start of the current clause.
 func (st *fastState) rollback() {
 	for i := len(st.journal) - 1; i >= 0; i-- {
-		st.journal[i]()
+		u := st.journal[i]
+		switch u.op {
+		case undoLine:
+			line := st.varLine[u.a]
+			st.lineVars[line] = st.lineVars[line][:len(st.lineVars[line])-1]
+			st.varLine[u.a] = -1
+			st.varSpan[u.a] = emptySpan
+			if u.b == 1 {
+				st.nextLine--
+			}
+		case undoSpan:
+			st.varSpan[u.a] = u.sp
+		case undoCol:
+			st.hUsed[u.a*st.g.N+u.b] = false
+			st.colUsage[u.b]--
+		case undoRealize:
+			st.realized[qubo.Edge{U: u.a, V: u.b}]--
+		case undoSegAppend:
+			st.segs[u.a] = st.segs[u.a][:len(st.segs[u.a])-1]
+		case undoSegSet:
+			st.segs[u.a][u.b] = u.sg
+		}
 	}
 	st.journal = st.journal[:0]
 }
 
 // Fast runs the paper's linear-time embedding of the encoding's clauses, in
-// order, onto g, skipping clauses that do not fit. Broken qubits are not
+// order, onto g, skipping clauses that do not fit and stopping once 256
+// clauses have failed in total. Broken qubits are not
 // avoided (the paper's scheme assumes a fully working chip; use Minorminer
 // for graphs with hard faults). Logical
 // variables go to vertical lines (shared by multiple variables on larger
@@ -90,7 +155,7 @@ func (st *fastState) rollback() {
 // scanning horizontal lines bottom-up and columns left-to-right.
 func Fast(enc *qubo.Encoding, g *topo.Chimera) *FastResult {
 	st := newFastState(enc, g)
-	var set []int
+	set := make([]int, 0, len(enc.Clauses))
 	failures := 0
 	for k := range enc.Clauses {
 		if st.addClause(k) {
@@ -98,7 +163,7 @@ func Fast(enc *qubo.Encoding, g *topo.Chimera) *FastResult {
 			continue
 		}
 		failures++
-		if failures >= 256 {
+		if failures >= maxFastFailures {
 			break // hardware effectively full
 		}
 	}
@@ -107,32 +172,64 @@ func Fast(enc *qubo.Encoding, g *topo.Chimera) *FastResult {
 
 // newFastState initialises the embedding state for one run.
 func newFastState(enc *qubo.Encoding, g *topo.Chimera) *fastState {
+	nodes := enc.NumNodes()
 	st := &fastState{
 		g:   g,
 		enc: enc,
 		// Allow multiple variables per vertical line once all lines are in
 		// use; each needs a disjoint row span, so budget ~4 rows per
 		// variable.
-		maxVarsPerLine: maxInt(1, g.M/4),
+		maxVarsPerLine: max(1, g.M/4),
 		lineVars:       make([][]int, g.NumVerticalLines()),
-		varLine:        map[int]int{},
-		varSpan:        map[int]span{},
-		hUsed:          make([][]bool, g.NumHorizontalLines()),
+		varLine:        make([]int, nodes),
+		varSpan:        make([]span, nodes),
+		hUsed:          make([]bool, g.NumHorizontalLines()*g.N),
 		colUsage:       make([]int, g.N),
-		segs:           map[int][]seg{},
-		realized:       map[qubo.Edge]int{},
+		segs:           make([][]seg, nodes),
+		realized:       make(map[qubo.Edge]int, len(enc.Sub)),
+		subStart:       make([]int, len(enc.Clauses)+1),
+		lineOrder:      hLineOrders(g),
 	}
-	for i := range st.hUsed {
-		st.hUsed[i] = make([]bool, g.N)
+	for n := range st.varLine {
+		st.varLine[n] = -1
+		st.varSpan[n] = emptySpan
+	}
+	for i := range enc.Sub {
+		st.subStart[enc.Sub[i].Clause+1] = i + 1
+	}
+	for k := 1; k < len(st.subStart); k++ {
+		if st.subStart[k] < st.subStart[k-1] {
+			st.subStart[k] = st.subStart[k-1] // clause without sub-clauses
+		}
 	}
 	return st
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// hLineOrders returns, for every preferred row p, the horizontal lines
+// sorted by the distance of their row from p, then by ascending index (the
+// paper's bottom-up scan within a band). Lines of row r are the L
+// consecutive indices from (M−1−r)·L, so walking outward from p (row p+d
+// before row p−d, whose lines have the larger indices) yields that order
+// without sorting.
+func hLineOrders(g *topo.Chimera) []int {
+	nH := g.NumHorizontalLines()
+	order := make([]int, 0, g.M*nH)
+	row := func(r int) {
+		if r < 0 || r >= g.M {
+			return
+		}
+		for h := (g.M - 1 - r) * g.L; h < (g.M-r)*g.L; h++ {
+			order = append(order, h)
+		}
 	}
-	return b
+	for p := 0; p < g.M; p++ {
+		row(p)
+		for d := 1; d < g.M; d++ {
+			row(p + d)
+			row(p - d)
+		}
+	}
+	return order
 }
 
 // rowOfHLine returns the grid row a horizontal line lives in.
@@ -141,43 +238,50 @@ func (st *fastState) rowOfHLine(h int) int { return st.g.M - 1 - h/st.g.L }
 // cellCol returns the cell column of a logical node's vertical line.
 func (st *fastState) cellCol(node int) int { return st.varLine[node] / st.g.L }
 
-// clauseNodes returns the logical nodes and the auxiliary node (or -1) of
-// clause k.
+// clauseNodes returns the distinct logical nodes (in literal order) and the
+// auxiliary node (or -1) of clause k. The slice is scratch, valid until the
+// next call.
 func (st *fastState) clauseNodes(k int) (logical []int, aux int) {
-	seen := map[int]bool{}
+	logical = st.logicalBuf[:0]
 	for _, l := range st.enc.Clauses[k] {
 		n := st.enc.VarNode[l.Var()]
-		if !seen[n] {
-			seen[n] = true
+		if !slices.Contains(logical, n) {
 			logical = append(logical, n)
 		}
 	}
+	st.logicalBuf = logical
 	return logical, st.enc.AuxNode[k]
 }
 
 // clauseEdges returns the problem edges the sub-clauses of clause k require,
-// in a deterministic order.
+// ascending. The slice is scratch, valid until the next call.
 func (st *fastState) clauseEdges(k int) []qubo.Edge {
-	set := map[qubo.Edge]bool{}
-	var out []qubo.Edge
-	for i := range st.enc.Sub {
-		if st.enc.Sub[i].Clause != k {
-			continue
-		}
+	out := st.edgeBuf[:0]
+	for i := st.subStart[k]; i < st.subStart[k+1]; i++ {
 		for e := range st.enc.Sub[i].Poly.Quad {
-			if !set[e] {
-				set[e] = true
-				out = append(out, e)
+			// Insert e in order unless present (a clause has at most four
+			// edges).
+			j := len(out)
+			for j > 0 && edgeLess(e, out[j-1]) {
+				j--
 			}
+			if j > 0 && out[j-1] == e {
+				continue
+			}
+			out = append(out, qubo.Edge{})
+			copy(out[j+1:], out[j:])
+			out[j] = e
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
+	st.edgeBuf = out
 	return out
+}
+
+func edgeLess(a, b qubo.Edge) bool {
+	if a.U != b.U {
+		return a.U < b.U
+	}
+	return a.V < b.V
 }
 
 // allocLine assigns node a vertical line, preferring fresh lines and
@@ -186,17 +290,8 @@ func (st *fastState) clauseEdges(k int) []qubo.Edge {
 // segments short) and picking occupants with free rows.
 func (st *fastState) allocLine(node, prefCol int) bool {
 	if st.nextLine < len(st.lineVars) {
-		line := st.nextLine
+		st.takeLine(node, st.nextLine, true)
 		st.nextLine++
-		st.lineVars[line] = append(st.lineVars[line], node)
-		st.varLine[node] = line
-		st.varSpan[node] = span{1, 0} // empty
-		st.note(func() {
-			st.nextLine--
-			st.lineVars[line] = st.lineVars[line][:len(st.lineVars[line])-1]
-			delete(st.varLine, node)
-			delete(st.varSpan, node)
-		})
 		return true
 	}
 	best, bestScore := -1, -1<<30
@@ -228,24 +323,28 @@ func (st *fastState) allocLine(node, prefCol int) bool {
 	if best < 0 {
 		return false
 	}
-	st.lineVars[best] = append(st.lineVars[best], node)
-	st.varLine[node] = best
-	st.varSpan[node] = span{1, 0}
-	line := best
-	st.note(func() {
-		st.lineVars[line] = st.lineVars[line][:len(st.lineVars[line])-1]
-		delete(st.varLine, node)
-		delete(st.varSpan, node)
-	})
+	st.takeLine(node, best, false)
 	return true
+}
+
+// takeLine gives node the next slot of vertical line (journalled; fresh
+// when the line was never used before).
+func (st *fastState) takeLine(node, line int, fresh bool) {
+	st.lineVars[line] = append(st.lineVars[line], node)
+	st.varLine[node] = line
+	st.varSpan[node] = emptySpan
+	u := undo{op: undoLine, a: node}
+	if fresh {
+		u.b = 1
+	}
+	st.note(u)
 }
 
 // canExtendSpan reports whether node's row span may grow to include row r
 // without colliding with a cohabitant on the same vertical line.
 func (st *fastState) canExtendSpan(node, r int) bool {
-	line := st.varLine[node]
 	ns := st.varSpan[node].with(r)
-	for _, v := range st.lineVars[line] {
+	for _, v := range st.lineVars[st.varLine[node]] {
 		if v == node {
 			continue
 		}
@@ -256,10 +355,10 @@ func (st *fastState) canExtendSpan(node, r int) bool {
 	return true
 }
 
+// extendSpan grows node's row span to include row r (journalled).
 func (st *fastState) extendSpan(node, r int) {
-	prev := st.varSpan[node]
-	st.varSpan[node] = prev.with(r)
-	st.note(func() { st.varSpan[node] = prev })
+	st.note(undo{op: undoSpan, a: node, sp: st.varSpan[node]})
+	st.varSpan[node] = st.varSpan[node].with(r)
 }
 
 // preferredRow returns the grid row near which node's connections should
@@ -267,8 +366,8 @@ func (st *fastState) extendSpan(node, r int) {
 // (slot k of L occupants prefers band k), which avoids span collisions by
 // construction.
 func (st *fastState) preferredRow(node int) int {
-	line, ok := st.varLine[node]
-	if !ok {
+	line := st.varLine[node]
+	if line < 0 {
 		return st.g.M - 1
 	}
 	slot := 0
@@ -286,34 +385,19 @@ func (st *fastState) preferredRow(node int) int {
 
 // hLineOrder returns all horizontal line indices sorted by the distance of
 // their row from the preferred row, then bottom-up (the paper's scan order
-// within a band).
+// within a band). A row outside the grid orders lines exactly as the
+// nearest grid row does.
 func (st *fastState) hLineOrder(prefRow int) []int {
-	n := st.g.NumHorizontalLines()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	dist := func(h int) int {
-		d := st.rowOfHLine(h) - prefRow
-		if d < 0 {
-			d = -d
-		}
-		return d
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		di, dj := dist(order[i]), dist(order[j])
-		if di != dj {
-			return di < dj
-		}
-		return order[i] < order[j]
-	})
-	return order
+	prefRow = min(max(prefRow, 0), st.g.M-1)
+	nH := st.g.NumHorizontalLines()
+	return st.lineOrder[prefRow*nH : (prefRow+1)*nH]
 }
 
 // colsFree reports whether columns [c1,c2] of horizontal line h are all free.
 func (st *fastState) colsFree(h, c1, c2 int) bool {
+	row := st.hUsed[h*st.g.N : (h+1)*st.g.N]
 	for c := c1; c <= c2; c++ {
-		if st.hUsed[h][c] {
+		if row[c] {
 			return false
 		}
 	}
@@ -321,34 +405,26 @@ func (st *fastState) colsFree(h, c1, c2 int) bool {
 }
 
 func (st *fastState) takeCols(h, c1, c2 int) {
-	var taken []int
+	row := st.hUsed[h*st.g.N : (h+1)*st.g.N]
 	for c := c1; c <= c2; c++ {
-		if !st.hUsed[h][c] {
-			st.hUsed[h][c] = true
+		if !row[c] {
+			row[c] = true
 			st.colUsage[c]++
-			taken = append(taken, c)
+			st.note(undo{op: undoCol, a: h, b: c})
 		}
-	}
-	if len(taken) > 0 {
-		st.note(func() {
-			for _, c := range taken {
-				st.hUsed[h][c] = false
-				st.colUsage[c]--
-			}
-		})
 	}
 }
 
 // realize records a problem edge as realised (journalled).
 func (st *fastState) realize(e qubo.Edge) {
 	st.realized[e]++
-	st.note(func() { st.realized[e]-- })
+	st.note(undo{op: undoRealize, a: e.U, b: e.V})
 }
 
 // addSeg appends a horizontal segment to node's chain (journalled).
 func (st *fastState) addSeg(node int, sg seg) {
 	st.segs[node] = append(st.segs[node], sg)
-	st.note(func() { st.segs[node] = st.segs[node][:len(st.segs[node])-1] })
+	st.note(undo{op: undoSegAppend, a: node})
 }
 
 // addClause embeds clause k, returning false when it does not fit; a failed
@@ -362,7 +438,7 @@ func (st *fastState) addClause(k int) bool {
 	// queue order.
 	newVars := 0
 	for _, n := range logical {
-		if _, ok := st.varLine[n]; !ok {
+		if st.varLine[n] < 0 {
 			newVars++
 		}
 	}
@@ -380,7 +456,7 @@ func (st *fastState) addClause(k int) bool {
 	}
 	prefCol, prefCount := 0, 0
 	for _, n := range logical {
-		if _, ok := st.varLine[n]; ok {
+		if st.varLine[n] >= 0 {
 			prefCol += st.cellCol(n)
 			prefCount++
 		}
@@ -391,7 +467,7 @@ func (st *fastState) addClause(k int) bool {
 		prefCol = (st.nextLine % len(st.lineVars)) / st.g.L
 	}
 	for _, n := range logical {
-		if _, ok := st.varLine[n]; !ok {
+		if st.varLine[n] < 0 {
 			if !st.allocLine(n, prefCol) {
 				st.rollback()
 				return false
@@ -407,9 +483,9 @@ func (st *fastState) addClause(k int) bool {
 	// like ordinary edges.
 	auxOnHorizontal := false
 	if aux >= 0 {
-		auxOnHorizontal = st.placeAux(k, aux, logical)
+		auxOnHorizontal = st.placeAux(aux, logical)
 		if !auxOnHorizontal {
-			if _, ok := st.varLine[aux]; !ok {
+			if st.varLine[aux] < 0 {
 				if !st.allocLine(aux, prefCol) {
 					st.rollback()
 					return false
@@ -437,10 +513,10 @@ func (st *fastState) isAuxEdge(e qubo.Edge, aux int) bool {
 	return aux >= 0 && (e.U == aux || e.V == aux)
 }
 
-// placeAux allocates the auxiliary variable of clause k to one horizontal
-// segment spanning the cell columns of all clause variables, anchoring each
-// variable's vertical chain at the segment's row.
-func (st *fastState) placeAux(k, aux int, logical []int) bool {
+// placeAux allocates the auxiliary variable of a clause to one horizontal
+// segment spanning the cell columns of all the clause's (distinct) logical
+// variables, anchoring each variable's vertical chain at the segment's row.
+func (st *fastState) placeAux(aux int, logical []int) bool {
 	cmin, cmax := st.g.N, -1
 	for _, n := range logical {
 		c := st.cellCol(n)
@@ -463,30 +539,26 @@ func (st *fastState) placeAux(k, aux int, logical []int) bool {
 		r := st.rowOfHLine(h)
 		// Extend the spans sequentially so clause variables sharing a
 		// vertical line cannot both claim row r; restore on failure.
-		saved := make(map[int]span, len(logical))
+		saved := st.saved[:0]
 		ok := true
 		for _, n := range logical {
-			if _, done := saved[n]; done {
-				continue // duplicate variable in the clause
-			}
-			saved[n] = st.varSpan[n]
+			saved = append(saved, nodeSpan{n, st.varSpan[n]})
 			if !st.canExtendSpan(n, r) {
 				ok = false
 				break
 			}
 			st.varSpan[n] = st.varSpan[n].with(r)
 		}
+		st.saved = saved
 		if !ok {
-			for n, sp := range saved {
-				st.varSpan[n] = sp
+			for _, s := range saved {
+				st.varSpan[s.node] = s.sp
 			}
 			continue
 		}
 		// Journal the net span changes for clause-level rollback.
-		for n, sp := range saved {
-			prev := sp
-			node := n
-			st.note(func() { st.varSpan[node] = prev })
+		for _, s := range saved {
+			st.note(undo{op: undoSpan, a: s.node, sp: s.sp})
 		}
 		st.takeCols(h, cmin, cmax)
 		st.addSeg(aux, seg{h, cmin, cmax})
@@ -539,10 +611,8 @@ func (st *fastState) routeEdge(e qubo.Edge) bool {
 			}
 			st.takeCols(sg.Line, nc1, sg.C1-1) // empty when extending right
 			st.takeCols(sg.Line, sg.C2+1, nc2) // empty when extending left
-			prev := st.segs[owner][i]
+			st.note(undo{op: undoSegSet, a: owner, b: i, sg: sg})
 			st.segs[owner][i] = seg{sg.Line, nc1, nc2}
-			ownerCopy, idx := owner, i
-			st.note(func() { st.segs[ownerCopy][idx] = prev })
 			st.extendSpan(target, r)
 			st.realize(e)
 			return true
@@ -573,8 +643,7 @@ func (st *fastState) routeEdge(e qubo.Edge) bool {
 				st.varSpan[owner] = prevOwner
 				continue
 			}
-			ownerCopy := owner
-			st.note(func() { st.varSpan[ownerCopy] = prevOwner })
+			st.note(undo{op: undoSpan, a: owner, sp: prevOwner})
 			st.takeCols(h, c1, c2)
 			st.addSeg(owner, seg{h, c1, c2})
 			st.extendSpan(target, r)
@@ -585,83 +654,86 @@ func (st *fastState) routeEdge(e qubo.Edge) bool {
 	return false
 }
 
-// finish assembles the Embedding for the embedded clause set.
+// finish assembles the Embedding for the embedded clause set: every logical
+// node of an embedded clause and every placed auxiliary, in ascending node
+// order, with all chains cut from one backing array.
 func (st *fastState) finish(set []int) *FastResult {
-	nodes := map[int]bool{}
+	inEmb := make([]bool, len(st.varLine))
 	for _, k := range set {
 		logical, aux := st.clauseNodes(k)
 		for _, n := range logical {
-			nodes[n] = true
+			inEmb[n] = true
 		}
 		if aux >= 0 && st.auxPlaced(aux) {
-			nodes[aux] = true
+			inEmb[aux] = true
 		}
 	}
-	emb := NewEmbedding()
-	sortedNodes := make([]int, 0, len(nodes))
-	for n := range nodes {
-		sortedNodes = append(sortedNodes, n)
-	}
-	sort.Ints(sortedNodes)
-	for _, n := range sortedNodes {
-		var chain []int
-		if line, ok := st.varLine[n]; ok {
-			s := st.varSpan[n]
-			if s.empty() {
-				// Variable with no couplings (unit clause): claim one free
-				// row on its line.
-				for r := 0; r < st.g.M; r++ {
-					if st.canExtendSpan(n, r) {
-						st.extendSpan(n, r)
-						s = st.varSpan[n]
-						break
-					}
+	numChains, total := 0, 0
+	for n, in := range inEmb {
+		if !in {
+			continue
+		}
+		if st.varLine[n] >= 0 && st.varSpan[n].empty() {
+			// Variable with no couplings (unit clause): claim one free row
+			// on its line.
+			for r := 0; r < st.g.M; r++ {
+				if st.canExtendSpan(n, r) {
+					st.extendSpan(n, r)
+					break
 				}
 			}
+		}
+		size := st.chainSize(n)
+		if size > 0 {
+			numChains++
+			total += size
+		}
+	}
+	emb := &Embedding{Chains: make(map[int][]int, numChains)}
+	qubits := make([]int, 0, total)
+	for n, in := range inEmb {
+		if !in {
+			continue
+		}
+		lo := len(qubits)
+		if line := st.varLine[n]; line >= 0 {
+			s := st.varSpan[n]
 			for r := s.Min; r <= s.Max; r++ {
-				chain = append(chain, st.g.VerticalLineQubit(line, r))
+				qubits = append(qubits, st.g.VerticalLineQubit(line, r))
 			}
 		}
 		for _, sg := range st.segs[n] {
 			for c := sg.C1; c <= sg.C2; c++ {
-				chain = append(chain, st.g.HorizontalLineQubit(sg.Line, c))
+				qubits = append(qubits, st.g.HorizontalLineQubit(sg.Line, c))
 			}
 		}
-		if len(chain) > 0 {
-			emb.Chains[n] = chain
+		if len(qubits) > lo {
+			emb.Chains[n] = qubits[lo:len(qubits):len(qubits)]
 		}
 	}
 	return &FastResult{
 		Embedding:       emb,
 		EmbeddedClauses: len(set),
 		EmbeddedSet:     set,
-		EmbeddedNodes:   nodes,
 	}
+}
+
+// chainSize returns the number of qubits in node's chain.
+func (st *fastState) chainSize(n int) int {
+	size := 0
+	if st.varLine[n] >= 0 {
+		if s := st.varSpan[n]; !s.empty() {
+			size += s.Max - s.Min + 1
+		}
+	}
+	for _, sg := range st.segs[n] {
+		size += sg.C2 - sg.C1 + 1
+	}
+	return size
 }
 
 // auxPlaced reports whether an auxiliary node received any qubits (it always
 // has when its clause was embedded; defensive for failed clauses).
 func (st *fastState) auxPlaced(aux int) bool {
-	if len(st.segs[aux]) > 0 {
-		return true
-	}
-	_, ok := st.varLine[aux]
-	return ok
-}
-
-// FastEmbedder adapts Fast to the generic Embedder interface used by the
-// Fig 13 comparison: the clause queue is encoded and embedded, and the
-// result is reported as a (possibly partial) embedding of the problem graph.
-type FastEmbedder struct{}
-
-// Name implements Embedder.
-func (FastEmbedder) Name() string { return "hyqsat-fast" }
-
-// EmbedClauses embeds a clause queue and reports how many clauses fit.
-func (FastEmbedder) EmbedClauses(clauses []cnf.Clause, g *topo.Chimera) (*FastResult, error) {
-	enc, err := qubo.Encode(clauses)
-	if err != nil {
-		return nil, err
-	}
-	return Fast(enc, g), nil
+	return len(st.segs[aux]) > 0 || st.varLine[aux] >= 0
 }

@@ -875,33 +875,43 @@ func interpretSample(embEnc *qubo.Encoding, sample anneal.Sample, numVars int) (
 	return embEnc.UnitEnergy(x), embEnc.AssignmentFromNodes(x, numVars)
 }
 
-// encodeAndEmbed runs the frontend pipeline for one clause queue: encode →
-// Fast → restrict → adjust → normalise → EmbedIsing. An entry with
-// embedded == 0 records an unusable queue (encode failure or no embeddable
-// clause) so repeats skip straight to CDCL.
+// encodeAndEmbed runs the frontend pipeline for one clause queue. An entry
+// with embedded == 0 records an unusable queue (encode failure or no
+// embeddable clause) so repeats skip straight to CDCL.
 func (s *Solver) encodeAndEmbed(queueIdx []int) *embedCacheEntry {
 	queue := make([]cnf.Clause, len(queueIdx))
 	for i, ci := range queueIdx {
 		queue[i] = s.formula.Clauses[ci]
 	}
+	res, embEnc, ep := frontendPass(queue, s.chim, s.opts)
+	if ep == nil {
+		return &embedCacheEntry{}
+	}
+	return &embedCacheEntry{embEnc: embEnc, ep: ep, embedded: res.EmbeddedClauses}
+}
+
+// frontendPass is one pass of the frontend: encode → Fast → restrict →
+// adjust → normalise → EmbedIsing. It returns the Fast result, the
+// encoding of the embedded clauses and the programmed problem; ep is nil
+// when the queue does not encode (3-CNF conversion rules that out) or no
+// clause embeds.
+func frontendPass(queue []cnf.Clause, g *topo.Chimera, o Options) (res *embed.FastResult, embEnc *qubo.Encoding, ep *anneal.EmbeddedProblem) {
 	enc, err := qubo.Encode(queue)
 	if err != nil {
-		// Defensive: 3-CNF conversion guarantees encodable clauses.
-		return &embedCacheEntry{}
+		return nil, nil, nil
 	}
-	fastRes := embed.Fast(enc, s.chim)
-	if fastRes.EmbeddedClauses == 0 {
-		return &embedCacheEntry{}
+	res = embed.Fast(enc, g)
+	if res.EmbeddedClauses == 0 {
+		return res, nil, nil
 	}
-	embEnc := enc.Restrict(fastRes.EmbeddedSet)
-	if s.opts.AdjustCoefficients {
+	embEnc = enc.Restrict(res.EmbeddedSet)
+	if o.AdjustCoefficients {
 		embEnc.AdjustCoefficients()
 	}
 	norm, _ := embEnc.Poly.Normalized()
 	ising := norm.ToIsing()
-	ep := anneal.EmbedIsing(ising, fastRes.Embedding, s.chim,
-		s.opts.ChainStrengthMult*anneal.ChainStrengthFor(ising))
-	return &embedCacheEntry{embEnc: embEnc, ep: ep, embedded: fastRes.EmbeddedClauses}
+	ep = anneal.EmbedIsing(ising, res.Embedding, g, o.ChainStrengthMult*anneal.ChainStrengthFor(ising))
+	return res, embEnc, ep
 }
 
 // fullModel extends the QA assignment with the current trail and saved

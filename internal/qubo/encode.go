@@ -27,20 +27,27 @@ type Encoding struct {
 	NodeVar []cnf.Var       // node → logical variable, or cnf.NoVar for auxiliaries
 	AuxNode []int           // per clause: auxiliary node, or −1 when none was needed
 
-	Sub  []SubClause
-	Poly *Poly // Σ α_ij · H_ij  (Eq. 5); rebuilt by AdjustCoefficients
+	Sub  []SubClause // grouped by clause, in clause order
+	Poly *Poly       // Σ α_ij · H_ij  (Eq. 5); rebuilt by AdjustCoefficients
 }
 
 // NumNodes returns the total number of nodes (logical + auxiliary).
 func (e *Encoding) NumNodes() int { return len(e.NodeVar) }
 
-// litPoly returns H_l (Eq. 4's building block): x for a positive literal and
-// 1−x for a negative one, over the node of the literal's variable.
-func litPoly(l cnf.Lit, node int) *Poly {
+// litAffine returns H_l (Eq. 4's building block) as s + t·x over the node
+// of the literal's variable: x for a positive literal (s=0, t=1) and 1−x for
+// a negative one (s=1, t=−1).
+func litAffine(l cnf.Lit) (s, t float64) {
 	if l.IsNeg() {
-		return Const(1).Sub(Variable(node))
+		return 1, -1
 	}
-	return Variable(node)
+	return 0, 1
+}
+
+// newSubPoly returns an empty sub-clause objective sized for a gadget with
+// nl linear and nq quadratic terms.
+func newSubPoly(nl, nq int) *Poly {
+	return &Poly{Linear: make(map[int]float64, nl), Quad: make(map[Edge]float64, nq)}
 }
 
 // Encode builds the QA encoding of the given clauses, following the paper's
@@ -49,12 +56,25 @@ func litPoly(l cnf.Lit, node int) *Poly {
 // 1- and 2-literal clauses are encoded directly without an auxiliary.
 // Clauses longer than three literals are rejected (convert with cnf.To3CNF
 // first). All α coefficients start at 1 (prior work's setting).
+//
+// Each gadget's coefficients are written straight from the literal signs:
+// with H_i = s_i + t_i·x_i, the products of Eq. 4 expand to the fixed
+// coefficient table below. Every coefficient is a small integer, so the
+// result is exact, and a term that cancels (a variable repeated with both
+// signs) is dropped just as polynomial arithmetic would drop it.
 func Encode(clauses []cnf.Clause) (*Encoding, error) {
+	subs := 0
+	for _, c := range clauses {
+		subs++
+		if len(c) == 3 {
+			subs++
+		}
+	}
 	e := &Encoding{
 		Clauses: clauses,
 		VarNode: map[cnf.Var]int{},
 		AuxNode: make([]int, len(clauses)),
-		Poly:    NewPoly(),
+		Sub:     make([]SubClause, 0, subs),
 	}
 	node := func(v cnf.Var) int {
 		if n, ok := e.VarNode[v]; ok {
@@ -65,11 +85,6 @@ func Encode(clauses []cnf.Clause) (*Encoding, error) {
 		e.NodeVar = append(e.NodeVar, v)
 		return n
 	}
-	newAux := func() int {
-		n := len(e.NodeVar)
-		e.NodeVar = append(e.NodeVar, cnf.NoVar)
-		return n
-	}
 
 	for k, c := range clauses {
 		e.AuxNode[k] = -1
@@ -78,28 +93,54 @@ func Encode(clauses []cnf.Clause) (*Encoding, error) {
 			return nil, fmt.Errorf("qubo: clause %d is empty", k)
 		case 1:
 			// H = 1 − H1: zero iff the literal is true.
-			h := Const(1).Sub(litPoly(c[0], node(c[0].Var())))
+			n1 := node(c[0].Var())
+			s1, t1 := litAffine(c[0])
+			h := newSubPoly(1, 0)
+			h.Offset = 1 - s1
+			h.AddLinear(n1, -t1)
 			e.Sub = append(e.Sub, SubClause{Clause: k, Poly: h, Alpha: 1})
 		case 2:
-			// H = (1−H1)(1−H2): zero iff some literal is true.
-			h1 := litPoly(c[0], node(c[0].Var()))
-			h2 := litPoly(c[1], node(c[1].Var()))
-			h := Const(1).Sub(h1).Mul(Const(1).Sub(h2))
+			// H = (1−H1)(1−H2): zero iff some literal is true. With
+			// 1−H_i = a_i + b_i·x_i the product is
+			// a1·a2 + b1·a2·x1 + a1·b2·x2 + b1·b2·x1·x2.
+			n1 := node(c[0].Var())
+			n2 := node(c[1].Var())
+			s1, t1 := litAffine(c[0])
+			s2, t2 := litAffine(c[1])
+			a1, b1 := 1-s1, -t1
+			a2, b2 := 1-s2, -t2
+			h := newSubPoly(2, 1)
+			h.Offset = a1 * a2
+			h.AddLinear(n1, b1*a2)
+			h.AddLinear(n2, a1*b2)
+			addProduct(h, n1, n2, b1*b2)
 			e.Sub = append(e.Sub, SubClause{Clause: k, Poly: h, Alpha: 1})
 		case 3:
-			a := newAux()
+			a := len(e.NodeVar)
+			e.NodeVar = append(e.NodeVar, cnf.NoVar)
 			e.AuxNode[k] = a
-			ha := Variable(a)
-			h1 := litPoly(c[0], node(c[0].Var()))
-			h2 := litPoly(c[1], node(c[1].Var()))
-			h3 := litPoly(c[2], node(c[2].Var()))
-			// Eq. 4, first sub-clause: a ↔ (l1 ∨ l2).
-			c1 := ha.Add(h1).Add(h2).
-				Sub(ha.Mul(h1).Scale(2)).
-				Sub(ha.Mul(h2).Scale(2)).
-				Add(h1.Mul(h2))
-			// Eq. 4, second sub-clause: l3 ∨ a.
-			c2 := Const(1).Sub(ha).Sub(h3).Add(ha.Mul(h3))
+			n1 := node(c[0].Var())
+			n2 := node(c[1].Var())
+			n3 := node(c[2].Var())
+			s1, t1 := litAffine(c[0])
+			s2, t2 := litAffine(c[1])
+			s3, t3 := litAffine(c[2])
+			// Eq. 4, first sub-clause: a ↔ (l1 ∨ l2), that is
+			// a + H1 + H2 − 2a·H1 − 2a·H2 + H1·H2.
+			c1 := newSubPoly(3, 3)
+			c1.Offset = s1 + s2 + s1*s2
+			c1.AddLinear(a, 1-2*s1-2*s2)
+			c1.AddLinear(n1, t1+t1*s2)
+			c1.AddLinear(n2, t2+s1*t2)
+			c1.AddQuad(a, n1, -2*t1)
+			c1.AddQuad(a, n2, -2*t2)
+			addProduct(c1, n1, n2, t1*t2)
+			// Eq. 4, second sub-clause: l3 ∨ a, that is 1 − a − H3 + a·H3.
+			c2 := newSubPoly(2, 1)
+			c2.Offset = 1 - s3
+			c2.AddLinear(a, s3-1)
+			c2.AddLinear(n3, -t3)
+			c2.AddQuad(a, n3, t3)
 			e.Sub = append(e.Sub,
 				SubClause{Clause: k, Poly: c1, Alpha: 1},
 				SubClause{Clause: k, Poly: c2, Alpha: 1})
@@ -111,12 +152,51 @@ func Encode(clauses []cnf.Clause) (*Encoding, error) {
 	return e, nil
 }
 
+// addProduct adds c·x_i·x_j, which is c·x_i when i == j (x² = x for binary
+// x).
+func addProduct(p *Poly, i, j int, c float64) {
+	if i == j {
+		p.AddLinear(i, c)
+	} else {
+		p.AddQuad(i, j, c)
+	}
+}
+
 // rebuild recomputes the summed objective (Eq. 5) from the sub-clause
-// objectives and their current α coefficients.
+// objectives and their current α coefficients. Each coefficient sums its
+// sub-clause terms in sub-clause order; linear terms accumulate in a
+// node-indexed slice, and a term that sums to zero is left out.
 func (e *Encoding) rebuild() {
-	p := NewPoly()
+	nq := 0
 	for i := range e.Sub {
-		p.AddScaled(e.Sub[i].Poly, e.Sub[i].Alpha)
+		nq += len(e.Sub[i].Poly.Quad)
+	}
+	lin := make([]float64, e.NumNodes())
+	p := &Poly{Quad: make(map[Edge]float64, nq)}
+	for i := range e.Sub {
+		q, alpha := e.Sub[i].Poly, e.Sub[i].Alpha
+		p.Offset += alpha * q.Offset
+		for n, c := range q.Linear {
+			lin[n] += alpha * c
+		}
+		for ed, c := range q.Quad {
+			p.Quad[ed] += alpha * c
+			if p.Quad[ed] == 0 {
+				delete(p.Quad, ed)
+			}
+		}
+	}
+	nl := 0
+	for _, c := range lin {
+		if c != 0 {
+			nl++
+		}
+	}
+	p.Linear = make(map[int]float64, nl)
+	for n, c := range lin {
+		if c != 0 {
+			p.Linear[n] = c
+		}
 	}
 	e.Poly = p
 }
@@ -153,23 +233,27 @@ func (e *Encoding) AdjustCoefficients() float64 {
 // produced against the full encoding.
 func (e *Encoding) Restrict(clauseSet []int) *Encoding {
 	r := &Encoding{
-		VarNode: map[cnf.Var]int{},
+		Clauses: make([]cnf.Clause, 0, len(clauseSet)),
+		VarNode: make(map[cnf.Var]int, 3*len(clauseSet)),
 		NodeVar: e.NodeVar,
-		Poly:    NewPoly(),
+		AuxNode: make([]int, 0, len(clauseSet)),
 	}
-	inSet := make(map[int]int, len(clauseSet)) // old clause index → new
+	newIndex := make([]int, len(e.Clauses)) // old clause index → 1 + new
+	subs := 0
 	for _, ci := range clauseSet {
-		inSet[ci] = len(r.Clauses)
 		r.Clauses = append(r.Clauses, e.Clauses[ci])
+		newIndex[ci] = len(r.Clauses)
 		r.AuxNode = append(r.AuxNode, e.AuxNode[ci])
 		for _, l := range e.Clauses[ci] {
 			r.VarNode[l.Var()] = e.VarNode[l.Var()]
 		}
+		subs += len(e.Clauses[ci])/3 + 1
 	}
+	r.Sub = make([]SubClause, 0, subs)
 	for i := range e.Sub {
-		if ni, ok := inSet[e.Sub[i].Clause]; ok {
+		if ni := newIndex[e.Sub[i].Clause]; ni > 0 {
 			sc := e.Sub[i]
-			sc.Clause = ni
+			sc.Clause = ni - 1
 			r.Sub = append(r.Sub, sc)
 		}
 	}

@@ -43,20 +43,6 @@ func NewPoly() *Poly {
 	return &Poly{Linear: map[int]float64{}, Quad: map[Edge]float64{}}
 }
 
-// Const returns the constant polynomial c.
-func Const(c float64) *Poly {
-	p := NewPoly()
-	p.Offset = c
-	return p
-}
-
-// Variable returns the polynomial x_i.
-func Variable(i int) *Poly {
-	p := NewPoly()
-	p.Linear[i] = 1
-	return p
-}
-
 // Copy returns a deep copy of p.
 func (p *Poly) Copy() *Poly {
 	q := NewPoly()
@@ -102,42 +88,9 @@ func (p *Poly) AddScaled(q *Poly, factor float64) *Poly {
 	return p
 }
 
-// Add returns p + q as a new polynomial.
-func (p *Poly) Add(q *Poly) *Poly { return p.Copy().AddScaled(q, 1) }
-
-// Sub returns p − q as a new polynomial.
-func (p *Poly) Sub(q *Poly) *Poly { return p.Copy().AddScaled(q, -1) }
-
 // Scale returns factor·p as a new polynomial.
 func (p *Poly) Scale(factor float64) *Poly {
-	return NewPoly().AddScaled(p, factor)
-}
-
-// Mul returns p·q. Both operands must be affine (no quadratic terms), since
-// the result must stay within degree two; x_i·x_i simplifies to x_i because
-// variables are binary.
-func (p *Poly) Mul(q *Poly) *Poly {
-	if len(p.Quad) > 0 || len(q.Quad) > 0 {
-		panic("qubo: Mul operands must be affine")
-	}
-	out := NewPoly()
-	out.Offset = p.Offset * q.Offset
-	for i, c := range p.Linear {
-		out.AddLinear(i, c*q.Offset)
-	}
-	for j, d := range q.Linear {
-		out.AddLinear(j, d*p.Offset)
-	}
-	for i, c := range p.Linear {
-		for j, d := range q.Linear {
-			if i == j {
-				out.AddLinear(i, c*d) // x² = x for binary x
-			} else {
-				out.AddQuad(i, j, c*d)
-			}
-		}
-	}
-	return out
+	return newSubPoly(len(p.Linear), len(p.Quad)).AddScaled(p, factor)
 }
 
 // Energy evaluates p at the given binary assignment, where x reports whether
@@ -256,51 +209,104 @@ type Ising struct {
 	J      map[Edge]float64
 }
 
-// ToIsing converts p via x = (1+s)/2. Terms are accumulated in sorted key
-// order so the floating-point results are bit-for-bit reproducible
-// regardless of map iteration order.
+// ToIsing converts p via x = (1+s)/2. Terms are accumulated in ascending
+// key order (linear terms by node, then quadratic terms by (U, V)) so the
+// floating-point results are bit-for-bit reproducible regardless of map
+// iteration order. The fields accumulate in a node-indexed slice, and a
+// field that sums to zero is left out, as in the term maps.
 func (p *Poly) ToIsing() *Ising {
-	is := &Ising{H: map[int]float64{}, J: map[Edge]float64{}}
-	is.Offset = p.Offset
-	add := func(m map[int]float64, i int, v float64) {
-		m[i] += v
-		if m[i] == 0 {
-			delete(m, i)
+	n := p.nodeBound()
+	lin := make([]float64, n)
+	has := make([]bool, n)
+	for i, c := range p.Linear {
+		lin[i], has[i] = c, true
+	}
+	h := make([]float64, n)
+	offset := p.Offset
+	for i := range lin {
+		if has[i] {
+			// c·x = c/2 + (c/2)·s
+			offset += lin[i] / 2
+			h[i] += lin[i] / 2
 		}
 	}
-	linKeys := make([]int, 0, len(p.Linear))
-	for i := range p.Linear {
-		linKeys = append(linKeys, i)
-	}
-	sort.Ints(linKeys)
-	for _, i := range linKeys {
-		// c·x = c/2 + (c/2)·s
-		c := p.Linear[i]
-		is.Offset += c / 2
-		add(is.H, i, c/2)
-	}
-	quadKeys := make([]Edge, 0, len(p.Quad))
-	for e := range p.Quad {
-		quadKeys = append(quadKeys, e)
-	}
-	sort.Slice(quadKeys, func(a, b int) bool {
-		if quadKeys[a].U != quadKeys[b].U {
-			return quadKeys[a].U < quadKeys[b].U
-		}
-		return quadKeys[a].V < quadKeys[b].V
-	})
-	for _, e := range quadKeys {
+	quad := SortedEdges(p.Quad)
+	is := &Ising{J: make(map[Edge]float64, len(quad))}
+	for _, e := range quad {
 		// c·x_u·x_v = c/4·(1 + s_u + s_v + s_u·s_v)
 		c := p.Quad[e]
-		is.Offset += c / 4
-		add(is.H, e.U, c/4)
-		add(is.H, e.V, c/4)
-		is.J[e] += c / 4
-		if is.J[e] == 0 {
-			delete(is.J, e)
+		offset += c / 4
+		h[e.U] += c / 4
+		h[e.V] += c / 4
+		if j := c / 4; j != 0 {
+			is.J[e] = j
+		}
+	}
+	is.Offset = offset
+	nh := 0
+	for _, v := range h {
+		if v != 0 {
+			nh++
+		}
+	}
+	is.H = make(map[int]float64, nh)
+	for i, v := range h {
+		if v != 0 {
+			is.H[i] = v
 		}
 	}
 	return is
+}
+
+// nodeBound returns 1 + the largest node index in p, or 0 for a constant.
+func (p *Poly) nodeBound() int {
+	n := 0
+	for i := range p.Linear {
+		n = max(n, i+1)
+	}
+	for e := range p.Quad {
+		n = max(n, e.V+1)
+	}
+	return n
+}
+
+// SortedEdges returns the keys of m ascending by (U, V). The keys are
+// bucketed by U (a counting sort over node indices), and only each bucket,
+// which holds one node's higher neighbours, is put in V order.
+func SortedEdges(m map[Edge]float64) []Edge {
+	keys := make([]Edge, 0, len(m))
+	maxU := -1
+	for e := range m {
+		keys = append(keys, e)
+		maxU = max(maxU, e.U)
+	}
+	end := make([]int, maxU+1) // bucket u ends at end[u] once placed
+	for _, e := range keys {
+		end[e.U]++
+	}
+	for u := 1; u <= maxU; u++ {
+		end[u] += end[u-1]
+	}
+	out := make([]Edge, len(keys))
+	for i := len(keys) - 1; i >= 0; i-- {
+		e := keys[i]
+		end[e.U]--
+		out[end[e.U]] = e
+	}
+	// end[u] is now the start of bucket u.
+	for u := 0; u <= maxU; u++ {
+		hi := len(out)
+		if u < maxU {
+			hi = end[u+1]
+		}
+		b := out[end[u]:hi]
+		for i := 1; i < len(b); i++ {
+			for j := i; j > 0 && b[j].V < b[j-1].V; j-- {
+				b[j], b[j-1] = b[j-1], b[j]
+			}
+		}
+	}
+	return out
 }
 
 // Energy evaluates the Ising model at the given spin assignment

@@ -3,6 +3,8 @@ package qubo
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"hyqsat/internal/cnf"
@@ -432,4 +434,33 @@ func TestMkEdgeCanonical(t *testing.T) {
 		}
 	}()
 	MkEdge(2, 2)
+}
+
+// TestSortedEdgesAscending checks the bucketed edge order against a
+// comparison sort.
+func TestSortedEdgesAscending(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		m := map[Edge]float64{}
+		for i := rng.Intn(60); i > 0; i-- {
+			a, b := rng.Intn(20), rng.Intn(20)
+			if a != b {
+				m[MkEdge(a, b)] = 1
+			}
+		}
+		want := make([]Edge, 0, len(m))
+		for e := range m {
+			want = append(want, e)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].U != want[j].U {
+				return want[i].U < want[j].U
+			}
+			return want[i].V < want[j].V
+		})
+		got := SortedEdges(m)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d:\n got %v\nwant %v", trial, got, want)
+		}
+	}
 }
